@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionExhausted
-from .exact import val_p
+from .exact import p_free, val_p
 from .mat2 import Mat, mat, mat_det, mat_mul
 
 INFINITY = object()  # the boundary point at infinity
@@ -63,11 +63,8 @@ class TVertex:
 def make_vertex(p: int, k: int, u) -> TVertex:
     """Canonical vertex: u reduced modulo p^k Z_p."""
     u = Fraction(u)
-    den = u.denominator
-    j = 0
-    while den % p == 0:
-        den //= p
-        j += 1
+    den = p_free(u.denominator, p)
+    j = val_p(u.denominator, p)
     if den != 1:
         # prime-to-p denominators are p-adic units: clear them modulo p^(k+j)
         if k + j <= 0:

@@ -29,11 +29,6 @@ from .modsym import (
     m2_basis_qexp,
 )
 from .rmpoints import QForm, automorph
-from .runtime import worker_count
-
-
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_form(text: str) -> QForm:
@@ -171,8 +166,6 @@ def cmd_modform(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rmlab", description=__doc__)
     ap.add_argument("--json", help="write the report to this path")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="recorded in the report for reproducibility")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("automorph")
@@ -248,11 +241,9 @@ def run(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("fn",) and v is not None}
     try:
-        threads = worker_count()
         body = args.fn(args)
         report = {
             "version": __version__,
-            "threads": threads,
             "config": config,
             **body,
         }

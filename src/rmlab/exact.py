@@ -52,6 +52,33 @@ def square_core(n: int) -> tuple[int, int]:
     return core * n, m
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    q, r = divmod(a, b)
+    g, x, y = xgcd(b, r)
+    return g, y, x - y * q
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def sigma1(n: int) -> int:
+    return sum(divisors(n))
+
+
+def p_free(n: int, p: int) -> int:
+    """|n| with every factor p removed (0 stays 0)."""
+    n = abs(n)
+    while n and n % p == 0:
+        n //= p
+    return n
+
+
 def frac_is_square(q: Fraction) -> bool:
     return q >= 0 and is_square_int(q.numerator) and is_square_int(q.denominator)
 
@@ -643,10 +670,3 @@ class PTower:
         return (f"p-adic: {self.p}, {self.prec}, "
                 f"[{','.join(str(c) for c in self.coeffs)}], {self.shift}")
 
-
-def ptower_mul(u: PTower, v: PTower) -> PTower:
-    return u * v
-
-
-def ptower_inv(u: PTower) -> PTower:
-    return u.inverse()

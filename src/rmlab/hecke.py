@@ -23,7 +23,7 @@ from fractions import Fraction
 from .cocycles import RMDivisor, RQDivisor, dv_value_on_segment, ChainSquare, \
     d1_candidates, canonical_label, Label
 from .errors import Mismatch
-from .exact import val_p
+from .exact import divisors, p_free, sigma1, val_p, xgcd
 from .hyperbolic import GSegment, ez_cross
 from .mat2 import (
     IDENT,
@@ -34,7 +34,6 @@ from .mat2 import (
     mat_inv,
     mat_mul,
     p_exponent,
-    sl2zp_generators,
 )
 from .rmpoints import QForm
 
@@ -46,14 +45,7 @@ def in_gamma(g: Mat, p: int) -> bool:
     """Membership in SL2(Z[1/p]): determinant one, p-power denominators."""
     if mat_det(g) != 1:
         return False
-    for row in g:
-        for e in row:
-            d = e.denominator
-            while d % p == 0:
-                d //= p
-            if d != 1:
-                return False
-    return True
+    return all(p_free(e.denominator, p) == 1 for row in g for e in row)
 
 
 def right_coset_key(g: Mat, p: int):
@@ -71,8 +63,7 @@ def right_coset_key(g: Mat, p: int):
     if ys == 0:
         red = g
     else:
-        d = math.gcd(abs(xs), abs(ys))
-        u, v = _xgcd(xs, ys, d)
+        d, u, v = xgcd(xs, ys)
         row_op = mat(u, v, Fraction(-ys, d), Fraction(xs, d))
         assert mat_det(row_op) == 1
         red = mat_mul(row_op, g)
@@ -103,21 +94,6 @@ def right_coset_key(g: Mat, p: int):
     return (a_int, b_red, c0, t)
 
 
-def _xgcd(x: int, y: int, d: int) -> tuple[int, int]:
-    g, u, v = _ext_gcd(abs(x), abs(y))
-    assert g == d
-    u *= 1 if x >= 0 else -1
-    v *= 1 if y >= 0 else -1
-    return u, v
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return a, 1, 0
-    g, u, v = _ext_gcd(b, a % b)
-    return g, v, u - (a // b) * v
-
-
 def key_to_matrix(key, p: int) -> Mat:
     a, b, c0, t = key
     return mat(a, b, 0, c0 * Fraction(p) ** t)
@@ -135,19 +111,12 @@ def double_coset_label(g: Mat, p: int):
     gcd_all = 0
     for v in ints:
         gcd_all = math.gcd(gcd_all, abs(v))
-    e1 = _p_free(gcd_all, p)
-    n_free = _p_free(det.numerator, p)  # det > 0 rational with p-power denom
-    assert _p_free(det.denominator, p) == 1
+    e1 = p_free(gcd_all, p)
+    n_free = p_free(det.numerator, p)  # det > 0 rational with p-power denom
+    assert p_free(det.denominator, p) == 1
     e2 = n_free // e1
     t = val_p(det, p)
     return (e1, e2, t)
-
-
-def _p_free(n: int, p: int) -> int:
-    n = abs(n)
-    while n and n % p == 0:
-        n //= p
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +133,6 @@ class CosetList:
     def to_json(self):
         return {"n": self.n, "p": self.p, "level": self.gamma_level,
                 "reps": [[[str(e) for e in row] for row in g] for g in self.reps]}
-
-
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def coset_reps_Tn(n: int, p: int) -> CosetList:
@@ -191,7 +156,7 @@ def coset_reps_Tn(n: int, p: int) -> CosetList:
                 reps.append(mat(a, b, 0, d))
         out = CosetList(tuple(reps), n, p, "zp")
         _check_pairwise(out)
-        assert len(reps) == _sigma1(n)
+        assert len(reps) == sigma1(n)
         return out
     if n == p:
         reps = [mat(1, b, 0, p) for b in range(p)] + [mat(p, 0, 0, 1)]
@@ -225,7 +190,7 @@ def tree_neighbor_count(n: int, p: int) -> int:
     p+1 tree neighbors for n = p."""
     if n == p:
         return p + 1
-    return _sigma1(n)
+    return sigma1(n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +219,7 @@ class HeckeElt:
         while n0 % p == 0:
             n0 //= p
             e += 1
-        for e1 in _unitary_divisors_pfree(n0):
+        for e1 in divisors(n0):
             if (n0 // e1) % e1:
                 continue
             terms[(e1, n0 // e1, e)] = terms.get((e1, n0 // e1, e), 0) + 1
@@ -291,40 +256,24 @@ class HeckeElt:
         return "HeckeElt(" + " + ".join(f"{c}*T{k}" for k, c in items) + ")"
 
 
-def _unitary_divisors_pfree(n0: int):
-    return sorted(d for d in range(1, n0 + 1) if n0 % d == 0)
-
-
 _COSET_CACHE: dict = {}
 
 
 def cosets_of_label(label, p: int) -> list[Mat]:
-    """Right-coset representatives of one double coset, by orbit closure
-    under right multiplication with group generators."""
+    """Right-coset representatives of one double coset, in key order.
+
+    The cosets of diag(e1, e2 p^t) are exactly the Hermite keys
+    (a, b, c0, t) of right_coset_key with a c0 = e1 e2, 0 <= b < c0 and
+    content gcd(a, b, c0) = e1; ascending a, then b, is sorted key order."""
     key = (label, p)
     if key in _COSET_CACHE:
         return _COSET_CACHE[key]
     e1, e2, t = label
-    rep = mat(e1, 0, 0, e2 * Fraction(p) ** t)
-    gens = sl2zp_generators(p)
-    gens = gens + [mat_inv(g) for g in gens]
-    seen = {right_coset_key(rep, p): rep}
-    frontier = [rep]
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                gh = mat_mul(g, h)
-                k = right_coset_key(gh, p)
-                if k not in seen:
-                    seen[k] = gh
-                    new.append(gh)
-        frontier = new
-        if len(seen) > 100_000:  # pragma: no cover
-            raise Mismatch("coset closure diverged")
-    out = [key_to_matrix(k, p) for k in sorted(seen)]
-    for g in out:
-        assert double_coset_label(g, p) == label
+    if e1 < 1 or e2 % e1 or p_free(e2, p) != e2:
+        raise ValueError(f"{label} is not a double-coset label at p = {p}")
+    n = e1 * e2
+    out = [key_to_matrix((a, b, n // a, t), p) for a in divisors(n)
+           for b in range(n // a) if math.gcd(a, b, n // a) == e1]
     _COSET_CACHE[key] = out
     return out
 

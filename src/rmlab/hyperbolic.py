@@ -27,7 +27,7 @@ from .errors import (
     MixedDiscriminant,
     SamplesExhausted,
 )
-from .exact import QuadIrr, quad_sign, sign_plus_root
+from .exact import QuadIrr, quad_sign, sign_plus_root, square_core
 from .mat2 import Mat, mat_det
 from .rmpoints import QForm, _orbit_bfs, class_key
 
@@ -53,18 +53,12 @@ def _join_disc(*vals) -> int | None:
         if D is None:
             D = d
         elif D != d:
-            a1, m1 = _split_sq(D)
-            a2, m2 = _split_sq(d)
+            a1, m1 = square_core(D)
+            a2, m2 = square_core(d)
             if a1 != a2:
                 raise MixedDiscriminant(f"unsupported field tower: {D} vs {d}")
             D = a1
     return D
-
-
-def _split_sq(D: int) -> tuple[int, int]:
-    from .exact import square_core
-
-    return square_core(D)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def _form_value_sign(A, B, C, z: HPoint) -> int:
     E = _join_disc(A, B, C)
     D = z.disc()
     x, y = z.x, z.y
-    if E is None or D is None or _split_sq(E)[0] == _split_sq(D)[0]:
+    if E is None or D is None or square_core(E)[0] == square_core(D)[0]:
         val = A * (x * x + y * y) + B * x + C
         return quad_sign(val) if isinstance(val, QuadIrr) else (val > 0) - (val < 0)
     # genuinely mixed tower: write the value as u + v sqrt(D) over Q(sqrt E)
@@ -530,10 +524,9 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
         visited, _ = _orbit_bfs(base, p, cap)
         orbit_cache[key] = visited
     orbit_nodes = orbit_cache[key]
+    out: list[tuple[QForm, int]] = []
 
-    def scan_A(task):
-        d, A = task
-        found = []
+    def scan_A(d, A):
         s = math.isqrt(d)
         vals = sorted([2 * A * x_lo, 2 * A * x_hi], key=_sort_key)
         b_lo = _frac_floor(-s - vals[1]) - 1
@@ -563,10 +556,8 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
             sgn = (s1 - s0) // 2
             if sgn == 0:
                 continue
-            found.append((f, sgn))
-        return found
+            out.append((f, sgn))
 
-    tasks: list[tuple[int, int]] = []
     for m in range(-levels, levels + 1):
         if m < 0:
             q = p ** (-2 * m)
@@ -578,13 +569,8 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
         amax_sq = Fraction(d, 4)
         a = 1
         while _sign_of(amax_sq - y_min * y_min * (a * a)) >= 0:
-            tasks.append((d, a))
-            tasks.append((d, -a))
+            scan_A(d, a)
+            scan_A(d, -a)
             a += 1
-    from .runtime import pmap
-
-    out: list[tuple[QForm, int]] = []
-    for chunk in pmap(scan_A, tasks):
-        out.extend(chunk)
     out.sort(key=lambda fs: fs[0].triple())
     return out

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact import divisors
+
 
 def _is_zero(x) -> bool:
     return x == 0
@@ -127,8 +129,8 @@ def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
         if const is None:
             return [Fraction(0)]
         cands = {Fraction(0)}
-        for r in _divisors(abs(const)):
-            for s in _divisors(abs(lead)):
+        for r in divisors(abs(const.numerator)):
+            for s in divisors(abs(lead.numerator)):
                 cands.add(Fraction(r, s))
                 cands.add(Fraction(-r, s))
         return cands
@@ -149,13 +151,3 @@ def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
         poly = out
     return roots
 
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))

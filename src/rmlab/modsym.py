@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Inconsistent, Mismatch
-from .exact import kronecker
+from .exact import divisors, kronecker, sigma1, xgcd
 from .linalg import mat_vec, nullspace, rref, solve
-
-
-def _gcdex(a: int, b: int):
-    if b == 0:
-        return (1, 0, a) if a >= 0 else (-1, 0, -a)
-    q, r = divmod(a, b)
-    x, y, g = _gcdex(b, r)
-    return y, x - y * q, g
 
 
 class P1List:
@@ -113,16 +105,12 @@ def dimension_formula(N: int) -> tuple[int, int, int]:
     else:
         for q in seen:
             nu3 *= 1 + kronecker(-3, q) if q != 3 else 1
-    cusps = sum(_phi(math.gcd(d, N // d)) for d in _divisors(N))
+    cusps = sum(_phi(math.gcd(d, N // d)) for d in divisors(N))
     genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
         - Fraction(cusps, 2)
     assert genus.denominator == 1
     g = int(genus)
     return g, cusps, g + cusps - 1
-
-
-def _divisors(N: int) -> list[int]:
-    return [d for d in range(1, N + 1) if N % d == 0]
 
 
 def _phi(n: int) -> int:
@@ -227,7 +215,7 @@ def _lift_sl2(cd, N: int):
     for t in range(4 * N + 2):
         dd = d1 + t * N
         if math.gcd(c1, dd) == 1:
-            x, y, g = _gcdex(c1, dd)
+            g, x, y = xgcd(c1, dd)
             assert g == 1
             # a dd - b c1 = 1 with a = y, b = -x
             return (y, -x, c1, dd)
@@ -241,8 +229,8 @@ def _cusp_equiv(N: int, cusp1, cusp2) -> bool:
     s1 c2 = s2 c1 mod gcd(c1 c2, N) with a_j s_j = 1 mod c_j."""
     a1, c1 = cusp1
     a2, c2 = cusp2
-    s1 = _gcdex(a1, c1)[0]
-    s2 = _gcdex(a2, c2)[0]
+    s1 = xgcd(a1, c1)[1]
+    s2 = xgcd(a2, c2)[1]
     g = math.gcd(N, c1 * c2)
     if g == 0:
         g = N
@@ -321,10 +309,6 @@ def _in_span(rows, target):
 # q-expansion side
 
 
-def sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
 def eisenstein_qexp(d: int, nmax: int) -> list[Fraction]:
     """(d E_2(d z) - E_2(z)) / 24: constant (d-1)/24, a_n = sigma1(n) - d sigma1(n/d)."""
     out = [Fraction(d - 1, 24)]
@@ -340,7 +324,7 @@ def m2_basis_qexp(N: int, basis: ManinBasis, nmax: int) -> list[list[Fraction]]:
     """q-expansions (a_0 .. a_nmax) of an explicit basis of M_2(Gamma_0(N), Q):
     level-raised Eisenstein series plus the cuspidal eigenforms read off the
     symbol space."""
-    q = [eisenstein_qexp(d, nmax) for d in _divisors(N) if d > 1]
+    q = [eisenstein_qexp(d, nmax) for d in divisors(N) if d > 1]
     g, _, _ = dimension_formula(N)
     if g > 0:
         cb = cuspidal_subspace(basis)

@@ -177,14 +177,6 @@ class Quat:
                 "coords": [str(c) for c in self.coords()]}
 
 
-def quat_mul(u: Quat, v: Quat) -> Quat:
-    return u * v
-
-
-def quat_inv(u: Quat) -> Quat:
-    return u.inverse()
-
-
 def act_pair(g1: Quat, g2: Quat, v: Quat) -> Quat:
     """Twisted two-sided action g1 * v * g2^(-1)."""
     return g1 * v * g2.inverse()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DoesNotStabilize, Mismatch, NotRM
-from .exact import QuadIrr, is_square_int, kronecker, quad_sign, square_core, val_p
+from .exact import QuadIrr, is_square_int, kronecker, p_free, quad_sign, square_core, val_p
 from .mat2 import (
     IDENT,
     Mat,
@@ -223,14 +223,25 @@ def class_witness(f: QForm, target_triple: tuple[int, int, int]) -> Mat:
 # automorphs
 
 
-def pell4_fundamental(D: int, cap: int = 10_000_000) -> tuple[int, int]:
-    """Minimal (t, u) with t, u > 0 and t^2 - D u^2 = 4."""
-    for u in range(1, cap):
-        t2 = 4 + D * u * u
-        t = math.isqrt(t2)
-        if t * t == t2:
-            return t, u
-    raise RuntimeError(f"Pell search cap reached for D={D}")  # pragma: no cover
+def pell4_fundamental(D: int) -> tuple[int, int]:
+    """Minimal (t, u) with t, u > 0 and t^2 - D u^2 = 4.
+
+    root(f) = T . root(rho f) for each reduction step, so the product
+    M = T1 T2 ... Tk of the steps once around the reduced cycle fixes the
+    root of the reduced form (A, B, C) where the cycle starts, and generates
+    its stabilizer in SL2(Z) up to sign (Cohen, GTM 138, 5.7): M is
+    +-((t - Bu)/2, -Cu; Au, (t + Bu)/2)^(+-1) for the fundamental solution.
+    """
+    f = form_of_disc(D)
+    while not _is_reduced(f):
+        f, _ = _rho(f)
+    start, M = f, IDENT
+    while True:
+        f, T = _rho(f)
+        M = mat_mul(M, T)
+        if f == start:
+            break
+    return abs(int(M[0][0] + M[1][1])), abs(int(M[1][0] / start.A))
 
 
 def conductor(disc: int) -> tuple[int, int]:
@@ -303,10 +314,7 @@ def automorph_oracle(form: QForm, p: int, kmax: int, nmax: int) -> Automorph:
     assert mat_det(g) == 1
     for row in g:
         for e in row:
-            den = e.denominator
-            while den % p == 0:
-                den //= p
-            assert den == 1, "stabilizer entry escaped Z[1/p]"
+            assert p_free(e.denominator, p) == 1, "stabilizer entry escaped Z[1/p]"
     eps = QuadIrr(t / 2, U / 2, D)
     assert quad_sign(eps - 1) > 0
     assert moebius_quadirr(g, w) == w
@@ -409,14 +417,7 @@ def _witness_search(f1: QForm, f2: QForm, p: int, kmax: int, bound: int):
                     g = mat(a, b, c, d)
                     if mat_det(g) != 1:
                         continue
-                    ok = True
-                    for row in g:
-                        for ent in row:
-                            q = ent.denominator
-                            while q % p == 0:
-                                q //= p
-                            if q != 1:
-                                ok = False
+                    ok = all(p_free(ent.denominator, p) == 1 for row in g for ent in row)
                     if ok and moebius_quadirr(g, w1) == w2:
                         return g
     return None

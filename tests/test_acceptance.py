@@ -48,8 +48,8 @@ from rmlab.rmpoints import (
 
 def report(num: int, label: str, t0: float, budget: float):
     elapsed = time.time() - t0
-    print(f"ACCEPTANCE {num}: PASS - {label} ({elapsed:.1f}s / budget {budget:.0f}s)")
     assert elapsed < budget, f"criterion {num} exceeded its budget"
+    print(f"ACCEPTANCE {num}: PASS - {label} ({elapsed:.1f}s / budget {budget:.0f}s)")
 
 
 def rand_quat(rng, span=9):

@@ -92,11 +92,7 @@ def test_json_file_output(tmp_path, capsys):
     assert rep["gamma"] == [["3", "4"], ["2", "3"]]
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("RMLAB_THREADS", "2")
-    code, out = capture(capsys, ["automorph", "--form", "1,-1,-1", "--p", "2"])
+def test_automorph_large_unit_exits_0(capsys):
+    code, out = capture(capsys, ["automorph", "--form", "1,1,-105", "--p", "2"])
     assert code == 0
-    assert json.loads(out)["threads"] == 2
-    monkeypatch.setenv("RMLAB_THREADS", "zero")
-    code, out = capture(capsys, ["automorph", "--form", "1,-1,-1", "--p", "2"])
-    assert code == 2
+    assert json.loads(out)["form"]["disc"] == 421

@@ -22,6 +22,7 @@ from rmlab.hecke import (
 from rmlab.hyperbolic import GSegment, HPoint
 from rmlab.mat2 import from_ints, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm
+from tests_helpers_brute import coset_closure
 
 GOLDEN = QForm(1, -1, -1)
 
@@ -59,6 +60,50 @@ def test_coset_counts_sigma1():
                 continue
             assert len(coset_reps_Tn(n, p).reps) == sum(
                 d for d in range(1, n + 1) if n % d == 0)
+
+
+def _labels_reached():
+    """Every (label, p) whose cosets criterion 4 or this module's products
+    expand: the terms of both factors and of the product."""
+    T, S = HeckeElt.Tn, HeckeElt.T_scalar
+    pairs = [(T(m, 3), T(n, 3)) for m in range(2, 21) for n in range(m + 1, 21)
+             if math.gcd(m, n) == 1]
+    for p in (2, 3, 5):
+        for l in (2, 3, 5, 7):
+            if l != p:
+                pairs += [(T(l, p), T(l ** e, p)) for e in range(1, 4)]
+                pairs += [(S(l, p), T(l ** e, p)) for e in range(3)]
+        pairs += [(S(p, p), T(p ** k, p)) for k in range(4)]
+    pairs += [(T(a, p), T(b, p)) for p, a, b in (
+        (5, 2, 3), (5, 3, 4), (3, 2, 2), (3, 2, 4),
+        (2, 3, 5), (2, 9, 5), (2, 3, 7), (2, 15, 7))]
+    out = set()
+    for s, t in pairs:
+        for elt in (s, t, hecke_mul(s, t)):
+            out |= {(lbl, s.p) for lbl in elt.terms}
+    return sorted(out)
+
+
+def test_cosets_match_generator_closure():
+    for lbl, p in _labels_reached():
+        assert cosets_of_label(lbl, p) == coset_closure(lbl, p), (lbl, p)
+    # grid: every label with p-free e1 e2 <= 30, e1 | e2, t <= 2
+    for p in (2, 3, 5, 7):
+        for n in range(1, 31):
+            if n % p == 0:
+                continue
+            for e1 in range(1, n + 1):
+                if n % e1 == 0 and (n // e1) % e1 == 0:
+                    for t in range(3):
+                        lbl = (e1, n // e1, t)
+                        assert cosets_of_label(lbl, p) == coset_closure(lbl, p), (lbl, p)
+
+
+def test_cosets_of_label_rejects_non_labels():
+    # (2, 3): e1 must divide e2; (1, 2) at p = 2: e2 must be p-free
+    for lbl, p in (((2, 3, 0), 5), ((1, 2, 0), 2), ((0, 1, 0), 3)):
+        with pytest.raises(ValueError):
+            cosets_of_label(lbl, p)
 
 
 def test_double_coset_labels():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rmlab.errors import DoesNotStabilize, NotRM
-from rmlab.exact import QuadIrr, quad_sign
+from rmlab.exact import QuadIrr, is_square_int, quad_sign
 from rmlab.mat2 import mat, mat_det, mat_mul, moebius_quadirr
 from rmlab.rmpoints import (
     Automorph,
@@ -24,6 +24,7 @@ from rmlab.rmpoints import (
     reduced_cycle,
     rm_discs_up_to,
 )
+from tests_helpers_brute import pell4_scan
 
 GOLDEN = QForm(1, -1, -1)  # disc 5, root = golden ratio
 SQRT2 = QForm(1, 0, -2)    # disc 8, root = sqrt 2
@@ -132,6 +133,31 @@ def test_pell_and_conductor():
     assert conductor(20) == (5, 2)
     assert conductor(8) == (8, 1)
     assert conductor(45) == (5, 3)
+
+
+def test_pell_cycle_matches_linear_scan():
+    finished = 0
+    for D in range(5, 401):
+        if D % 4 > 1 or is_square_int(D):
+            continue
+        scanned = pell4_scan(D, 10 ** 5)
+        if scanned is not None:
+            assert pell4_fundamental(D) == scanned, D
+            finished += 1
+    assert finished > 100
+
+
+def test_automorph_large_units():
+    # effective discriminants 421, 604 and 97 (388 with the 2 stripped)
+    for f in (QForm(1, 1, -105), QForm(1, 0, -151), QForm(1, 0, -97)):
+        a = automorph(f, 2)
+        (g00, _), (g10, g11) = a.gamma
+        assert mat_det(a.gamma) == 1
+        assert moebius_quadirr(a.gamma, f.root()) == f.root()
+        t, U = g00 + g11, g10 / f.A
+        assert t * t - f.disc * U * U == 4
+        assert a.eps == QuadIrr(t / 2, U / 2, f.disc)
+        assert a.eps > 1
 
 
 def test_reduced_cycle_closes():
