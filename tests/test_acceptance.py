@@ -39,11 +39,11 @@ from rmlab.quaternion import ProjLine, Quat, quadric_split, quadric_unsplit
 from rmlab.rmpoints import (
     QForm,
     automorph,
-    automorph_oracle,
     form_of_disc,
     is_rm_for,
     rm_discs_up_to,
 )
+from tests_helpers_brute import automorph_oracle, km_hecke_route
 
 
 def report(num: int, label: str, t0: float, budget: float):
@@ -189,14 +189,16 @@ def test_criterion_04_hecke_relations():
         acc = acc + inner.act(mat_inv(beta))
     nested = acc.restrict_levels(golden.disc, p, 1)
     assert direct == nested
-    # (T_n x 1)(D_1) = D_n: the two routes agree inside kudla_millson
+    # (T_n x 1)(D_1) = D_n: the Hecke route equals the direct enumeration
     s1 = GSegment(HPoint(Fraction(17, 35), Fraction(13, 40)),
                   HPoint(Fraction(19, 37), Fraction(47, 16)))
     s2 = GSegment(HPoint(Fraction(-12, 35), Fraction(15, 31)),
                   HPoint(Fraction(44, 35), Fraction(46, 37)))
     chain = ChainSquare(s1, s2)
-    assert not kudla_millson(2, chain, 3, 1).is_zero()
-    assert not kudla_millson(3, chain, 2, 1).is_zero()
+    for n, p in ((2, 3), (3, 2)):
+        km = kudla_millson(n, chain, p, 1)
+        assert not km.is_zero()
+        assert km == km_hecke_route(n, chain, p, 1)
     report(4, "Hecke relations (a), (b), (c) and the cocycle actions", t0, 120)
 
 

@@ -1,6 +1,28 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 from rmlab.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# the nine README commands, keyed by the golden file holding their report
+README_COMMANDS = {
+    "automorph": "automorph --form 1,-1,-1 --p 2",
+    "dv": "dv --form 1,-1,-1 --gamma 2,1,1,1 --p 2 --levels 1",
+    "d1": "d1 --seg1 17/35,13/40,19/37,47/16 --seg2=-12/35,15/31,44/35,46/37 --p 3",
+    "intersect": "intersect --seg1 1/2,1/3,1/2,3 --seg2=-1/3,1/2,5/4,5/4 --oracle",
+    "hecke-cosets": "hecke-cosets --n 6 --p 5",
+    "theorem-b": "theorem-b --form 1,-1,-1 --p 2 --n0 0 --n1 2",
+    "residues": "residues --p 3 --a 0 --b inf --radius 3",
+    "modform": "modform --level 11 --nterms 30",
+    "antisym": "--json out.json antisym --f1 1,-1,-1 --f2 1,0,-2 --p 3 --prec 12 "
+               "--levels 3 --radius 5",
+}
 
 
 def capture(capsys, argv):
@@ -96,3 +118,37 @@ def test_automorph_large_unit_exits_0(capsys):
     code, out = capture(capsys, ["automorph", "--form", "1,1,-105", "--p", "2"])
     assert code == 0
     assert json.loads(out)["form"]["disc"] == 421
+
+
+def test_readme_commands_match_golden_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # antisym writes out.json here
+    for name, cmd in README_COMMANDS.items():
+        code, out = capture(capsys, shlex.split(cmd))
+        assert code == 0, name
+        if name == "antisym":
+            assert out == ""
+            out = (tmp_path / "out.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
+def test_python_m_rmlab_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-m", "rmlab", "automorph", "--form", "1,-1,-1", "--p", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["gamma"] == [["2", "1"], ["1", "1"]]
+
+
+def test_antisym_disc_ratio_p_squared_exits_0(capsys):
+    # discs 5 and 20 = 5 * 2^2: value_at asks one orbit query per factor,
+    # most of them answered no
+    code, out = capture(capsys, ["antisym", "--f1", "1,1,-1", "--f2", "1,0,-5",
+                                 "--p", "2", "--levels", "1"])
+    assert code == 0
+    rep = json.loads(out)["antisym"]
+    assert rep["f1"] == [1, 1, -1] and rep["f2"] == [1, 0, -5]
+    assert [step["level"] for step in rep["steps"]] == [1]
+    assert isinstance(rep["nondecreasing"], bool)

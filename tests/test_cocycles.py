@@ -18,7 +18,7 @@ from rmlab.cocycles import (
     theorem_b_chain_check,
 )
 from rmlab.errors import NotRM
-from rmlab.hyperbolic import GSegment, HPoint
+from rmlab.hyperbolic import GSegment, HPoint, winding_oracle
 from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul, mat_neg
 from rmlab.rmpoints import QForm, form_apply
 
@@ -147,10 +147,10 @@ def test_d1_value_far_apart_empty():
 
 def test_d1_value_oracle_per_label():
     c = crossing_square()
-    d = d1_value(c, 2, 1, oracle_check=True)
+    d = d1_value(c, 2, 1)
     assert not d.is_zero()
     for v, m in d.entries.items():
-        assert m % 2 == 0  # +-1 folding doubles every multiplicity
+        assert m == 2 * winding_oracle(c.seg1, c.seg2, from_ints(v))
 
 
 def test_d1_sigma_symmetry():

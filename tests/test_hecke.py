@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rmlab.cocycles import ChainSquare, RQDivisor, dv_value_on_segment, sigma_swap
-from rmlab.errors import Mismatch
 from rmlab.hecke import (
     CosetList,
     HeckeElt,
@@ -22,7 +21,7 @@ from rmlab.hecke import (
 from rmlab.hyperbolic import GSegment, HPoint
 from rmlab.mat2 import from_ints, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm
-from tests_helpers_brute import coset_closure
+from tests_helpers_brute import coset_closure, km_hecke_route
 
 GOLDEN = QForm(1, -1, -1)
 
@@ -241,9 +240,10 @@ def test_kudla_millson_n1_is_d1():
 
 def test_kudla_millson_routes_agree_n2():
     c = km_chain()
-    d = kudla_millson(2, c, 3, 1)  # Mismatch would raise inside
+    d = kudla_millson(2, c, 3, 1)
     assert isinstance(d, RQDivisor)
     assert not d.is_zero()
+    assert d == km_hecke_route(2, c, 3, 1)
 
 
 def test_kudla_millson_sigma_symmetry():

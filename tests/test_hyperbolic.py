@@ -10,6 +10,8 @@ from rmlab.hyperbolic import (
     GSegment,
     HPoint,
     OrientedGeodesic,
+    _frac_floor,
+    _seg_box,
     carrying_coeffs,
     cross_segment,
     enumerate_crossing_orbit,
@@ -257,3 +259,22 @@ def test_carrying_coeffs_through_points():
         for z in (s.z0, s.z1):
             val = A * (z.x * z.x + z.y * z.y) + B * z.x + C
             assert val == 0
+
+
+@pytest.mark.parametrize("v, floor", [
+    # float(v) rounds 10^30 - 10^13 to the wrong side of an integer
+    (QuadIrr(10 ** 30 - 10 ** 13, Fraction(1, 10 ** 6), 2), 10 ** 30 - 10 ** 13),
+    # float(v) overflows
+    (QuadIrr(10 ** 400, 1, 2), 10 ** 400 + 1),
+    (QuadIrr(Fraction(1, 2), -1, 2), -1),
+])
+def test_frac_floor_exact(v, floor):
+    assert _frac_floor(v) == floor
+
+
+def test_seg_box_orders_endpoints_exactly():
+    # the two x-coordinates differ by 6e-21, below float resolution at 1
+    near = QuadIrr(1, Fraction(1, 10 ** 20), 2)
+    far = Fraction(1) + Fraction(2, 10 ** 20)
+    s = GSegment(HPoint(far, Fraction(1)), HPoint(near, Fraction(2)))
+    assert _seg_box(s) == (near, far, Fraction(1))

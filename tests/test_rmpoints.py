@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rmlab.errors import DoesNotStabilize, NotRM
+from rmlab import rmpoints
+from rmlab.errors import DoesNotStabilize, Mismatch, NotRM
 from rmlab.exact import QuadIrr, is_square_int, quad_sign
 from rmlab.mat2 import mat, mat_det, mat_mul, moebius_quadirr
 from rmlab.rmpoints import (
@@ -11,7 +12,6 @@ from rmlab.rmpoints import (
     QForm,
     RMPoint,
     automorph,
-    automorph_oracle,
     class_key,
     conductor,
     form_apply,
@@ -24,7 +24,7 @@ from rmlab.rmpoints import (
     reduced_cycle,
     rm_discs_up_to,
 )
-from tests_helpers_brute import pell4_scan
+from tests_helpers_brute import automorph_oracle, pell4_scan, witness_search
 
 GOLDEN = QForm(1, -1, -1)  # disc 5, root = golden ratio
 SQRT2 = QForm(1, 0, -2)    # disc 8, root = sqrt 2
@@ -193,6 +193,29 @@ def test_orbit_inequivalent_odd_parity():
     up = form_apply(mat(1, 0, 0, 2), GOLDEN)
     assert up.disc == 20
     assert not orbit_equivalent(GOLDEN, up, 2)
+
+
+# every negative orbit_equivalent answer in this file
+ORBIT_NEGATIVES = [
+    (GOLDEN, SQRT2, 2),
+    (GOLDEN, SQRT2, 3),
+    (GOLDEN, form_apply(mat(1, 0, 0, 2), GOLDEN), 2),  # odd parity
+    # Q(sqrt 10) has class number 2 and 7 is inert: the BFS reaches
+    # (2, 0, -5)'s class at neither parity
+    (QForm(1, 0, -10), QForm(2, 0, -5), 7),
+]
+
+
+@pytest.mark.parametrize("f1, f2, p", ORBIT_NEGATIVES)
+def test_orbit_negatives_have_no_bounded_witness(f1, f2, p):
+    assert not orbit_equivalent(f1, f2, p)
+    assert witness_search(f1, f2, p, kmax=2, bound=24) is None
+
+
+def test_automorph_wrong_root_raises_mismatch(monkeypatch):
+    monkeypatch.setattr(rmpoints, "moebius_quadirr", lambda g, w: w + 1)
+    with pytest.raises(Mismatch):
+        automorph(GOLDEN, 2)
 
 
 def test_orbit_conjugator_identity_translate():

@@ -3,11 +3,28 @@
 import math
 from fractions import Fraction
 
-from rmlab.cocycles import RMDivisor, chain_segment
-from rmlab.hecke import key_to_matrix, right_coset_key
+from rmlab.cocycles import (
+    ChainSquare,
+    RMDivisor,
+    RQDivisor,
+    canonical_label,
+    chain_segment,
+    d1_value,
+)
+from rmlab.errors import MixedDiscriminant
+from rmlab.exact import QuadIrr, p_free, quad_sign
+from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
 from rmlab.hyperbolic import OrientedGeodesic, cross_segment
-from rmlab.mat2 import mat, mat_inv, mat_mul, sl2zp_generators
-from rmlab.rmpoints import QForm, orbit_equivalent
+from rmlab.mat2 import (
+    from_ints,
+    mat,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    moebius_quadirr,
+    sl2zp_generators,
+)
+from rmlab.rmpoints import Automorph, QForm, is_rm_for, orbit_equivalent
 
 
 def pell4_scan(D: int, cap: int):
@@ -76,3 +93,92 @@ def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
                 if sgn:
                     out[f] = out.get(f, 0) + sgn
     return RMDivisor(out)
+
+
+def automorph_oracle(form: QForm, p: int, kmax: int, nmax: int) -> Automorph:
+    """Exhaustive bounded search for the automorph.
+
+    Every det-1 matrix fixing the root is ((t-BU)/2, -CU; AU, (t+BU)/2)
+    with t^2 - disc U^2 = 4, and its eigenvalue grows strictly with U > 0.
+    Scanning all U = n / p^k with 1 <= n <= nmax, 0 <= k <= kmax therefore
+    certifies minimality inside the box; callers pick nmax large enough
+    that the candidate automorph lies inside it.
+    """
+    assert is_rm_for(form, p)
+    D = form.disc
+    A, B, C = form.triple()
+    w = form.root()
+    best = None  # (U, t)
+    for k in range(kmax + 1):
+        P = p ** k
+        P2 = P * P
+        for n in range(1, nmax + 1):
+            if k > 0 and n % p == 0:
+                continue
+            t2num = 4 * P2 + D * n * n
+            T = math.isqrt(t2num)
+            if T * T != t2num:
+                continue
+            U = Fraction(n, P)
+            if best is None or U < best[0]:
+                best = (U, Fraction(T, P))
+    if best is None:
+        raise RuntimeError("oracle box contained no stabilizer")
+    U, t = best
+    g = mat((t - B * U) / 2, -C * U, A * U, (t + B * U) / 2)
+    assert mat_det(g) == 1
+    for row in g:
+        for e in row:
+            assert p_free(e.denominator, p) == 1, "stabilizer entry escaped Z[1/p]"
+    eps = QuadIrr(t / 2, U / 2, D)
+    assert quad_sign(eps - 1) > 0
+    assert moebius_quadirr(g, w) == w
+    return Automorph(g, eps)
+
+
+def witness_search(f1: QForm, f2: QForm, p: int, kmax: int, bound: int):
+    """Bounded direct search for gamma in SL2(Z[1/p]) with gamma.w1 = w2.
+
+    Solves the two linear conditions for (a, b) in terms of (c, d) and scans
+    the box |c|, |d| <= bound / p^k, k <= kmax; None when the box holds no
+    witness."""
+    w1, w2 = f1.root(), f2.root()
+    try:
+        prod = w2 * w1
+    except MixedDiscriminant:
+        return None
+    e, fcoef = w1.a, w1.b
+    s, t = prod.a, prod.b
+    u, v = w2.a, w2.b
+    denoms = [Fraction(1)] + [Fraction(1, p ** k) for k in range(1, kmax + 1)]
+    for dc in denoms:
+        for dd in denoms:
+            for cn in range(-bound, bound + 1):
+                c = cn * dc
+                for dn in range(-bound, bound + 1):
+                    d = dn * dd
+                    if c == 0 and d == 0:
+                        continue
+                    a = (c * t + d * v) / fcoef
+                    b = c * s + d * u - a * e
+                    g = mat(a, b, c, d)
+                    if mat_det(g) != 1:
+                        continue
+                    ok = all(p_free(ent.denominator, p) == 1 for row in g for ent in row)
+                    if ok and moebius_quadirr(g, w1) == w2:
+                        return g
+    return None
+
+
+def km_hecke_route(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor:
+    """(T_n x 1)(D_1): the basic two-variable value on each Hecke-translated
+    chain alpha . seg1, relabelled back by alpha^-1 on the left and
+    restricted to p-exponent <= radius."""
+    out: dict = {}
+    for alpha in coset_reps_Tn(n, p).reps:
+        moved = ChainSquare(chain.seg1.transported(alpha), chain.seg2)
+        ainv = mat_inv(alpha)
+        for v, m in d1_value(moved, p, radius).entries.items():
+            w = canonical_label(mat_mul(ainv, from_ints(v)))
+            out[w] = out.get(w, 0) + m
+    return RQDivisor(out).restrict_p_exponent(p, radius)
