@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PrecisionExhausted
+from .errors import Mismatch, PrecisionExhausted
 from .exact import p_free, val_p
 from .mat2 import Mat, mat, mat_det, mat_mul
 
@@ -184,7 +184,8 @@ def vertex_witness(v: TVertex, p: int) -> Mat:
         # target v1 = (1, 0): v = g . v1 with g = M . M1^-1 . p^-(k-1)/2
         s = Fraction(p) ** (-((k - 1) // 2))
         g = mat_mul(m, mat(s / p, 0, 0, s))
-    assert mat_det(g) == 1
+    if mat_det(g) != 1:
+        raise Mismatch("vertex transporter determinant is not 1")
     return g
 
 
@@ -228,7 +229,8 @@ def digit_ray_oracle(a: Fraction, p: int, R: int) -> list[TVertex]:
     """Digit-peeling oracle for p-integral boundary points: the ray is the
     sequence of truncations of the digit expansion."""
     a = Fraction(a)
-    assert a == 0 or val_p(a, p) >= 0
+    if a != 0 and val_p(a, p) < 0:
+        raise ValueError("boundary point must be p-integral")
     out = []
     for m in range(R + 1):
         mod = p ** m
@@ -286,7 +288,8 @@ def next_toward(v: TVertex, a, p: int, depth_hint: int = 32) -> TVertex:
         left.pop()
         right.pop(0)
     walk = left[:-1] + right if left[-1] == right[0] else left + right
-    assert walk[0] == v
+    if walk[0] != v:
+        raise Mismatch("tree walk does not start at the vertex")
     return walk[1]
 
 

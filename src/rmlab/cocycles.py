@@ -19,7 +19,7 @@ from .errors import (
     IncompleteSearch,
     NotRM,
 )
-from .exact import QuadIrr
+from .exact import QuadIrr, floor_exact, p_free, val_p
 from .hyperbolic import (
     GSegment,
     HPoint,
@@ -89,11 +89,7 @@ class RMDivisor:
             if big % small:
                 continue
             r = big // small
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            if r == 1 and e <= 2 * levels:
+            if p_free(r, p) == 1 and val_p(r, p) <= 2 * levels:
                 keep[f] = m
         return RMDivisor(keep)
 
@@ -128,12 +124,7 @@ def label_inverse(lbl: Label) -> Label:
 def label_p_exponent(lbl: Label, p: int) -> int:
     """k with det = n * p^(2k), gcd(n, p) = 1, for the scaled group element."""
     a, b, c, d = lbl
-    det = abs(a * d - b * c)
-    k = 0
-    while det % (p * p) == 0:
-        det //= p * p
-        k += 1
-    return k
+    return val_p(a * d - b * c, p) // 2
 
 
 class RQDivisor:
@@ -229,10 +220,10 @@ class ChainSquare:
 
 
 def dv_value_on_segment(base: QForm, segment: GSegment | None, p: int,
-                        levels: int, cache: dict | None = None) -> RMDivisor:
+                        levels: int) -> RMDivisor:
     if segment is None:
         return RMDivisor()
-    crossings = enumerate_crossing_orbit(segment, base, p, levels, orbit_cache=cache)
+    crossings = enumerate_crossing_orbit(segment, base, p, levels)
     out: dict[QForm, int] = {}
     for f, s in crossings:
         out[f] = out.get(f, 0) + s
@@ -247,15 +238,14 @@ def chain_segment(gamma: Mat, x0: HPoint) -> GSegment | None:
     return GSegment(x0, z1)
 
 
-def dv_value(base: QForm, gamma: Mat, x0: HPoint, p: int, levels: int,
-             cache: dict | None = None) -> RMDivisor:
+def dv_value(base: QForm, gamma: Mat, x0: HPoint, p: int, levels: int) -> RMDivisor:
     """Signed crossings of the path x0 -> gamma.x0 with the orbit geodesics
     of disc * p^(2m), |m| <= levels; raises DegenerateEndpoint when an
     endpoint sits on an orbit geodesic (callers perturb x0, keeping one
     base point per whole computation so cocycle identities stay exact)."""
     if not is_rm_for(base, p):
         raise NotRM(f"base not RM for p={p}")
-    return dv_value_on_segment(base, chain_segment(gamma, x0), p, levels, cache)
+    return dv_value_on_segment(base, chain_segment(gamma, x0), p, levels)
 
 
 def perturbed_base_points(x0: HPoint):
@@ -276,11 +266,10 @@ def cocycle_defect(base: QForm, g1: Mat, g2: Mat, x0: HPoint, p: int,
     ext = 2 * p_exponent(g1, p)
     last_err: Exception | None = None
     for x in perturbed_base_points(x0):
-        cache: dict = {}
         try:
-            d12 = dv_value(base, mat_mul(g1, g2), x, p, levels, cache)
-            d1 = dv_value(base, g1, x, p, levels, cache)
-            d2 = dv_value(base, g2, x, p, levels + ext, cache)
+            d12 = dv_value(base, mat_mul(g1, g2), x, p, levels)
+            d1 = dv_value(base, g1, x, p, levels)
+            d2 = dv_value(base, g2, x, p, levels + ext)
         except DegenerateEndpoint as exc:
             last_err = exc
             continue
@@ -304,16 +293,11 @@ def _sqrt_upper(q: Fraction) -> Fraction:
 
 
 def _upper(v) -> Fraction:
-    """Rational upper bound for a Fraction or QuadIrr value (exact for Q)."""
+    """Rational upper bound for a Fraction or QuadIrr value: exact for Q,
+    ceil(4096 v) / 4096 otherwise."""
     if not isinstance(v, QuadIrr):
         return Fraction(v)
-    scale = 4096
-    lo = Fraction(math.floor(float(v) * scale), scale)
-    while v > lo + 1:
-        lo += 1  # pragma: no cover - float guard
-    while not v <= lo:
-        lo += Fraction(1, scale)
-    return lo
+    return Fraction(-floor_exact(-4096 * v), 4096)
 
 
 def _lower(v) -> Fraction:

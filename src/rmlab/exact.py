@@ -183,10 +183,6 @@ class QuadIrr:
     def rational(a, D: int = 5) -> "QuadIrr":
         return QuadIrr(a, 0, D)
 
-    @staticmethod
-    def sqrt_of(D: int) -> "QuadIrr":
-        return QuadIrr(0, 1, D)
-
     def canonical(self) -> "QuadIrr":
         """Extract the square part of D: a + b*sqrt(m^2*c) -> a + bm*sqrt(c)."""
         core, m = square_core(self.D)
@@ -286,9 +282,6 @@ class QuadIrr:
     def sign(self) -> int:
         return quad_sign(self)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -351,6 +344,17 @@ def quad_sign(q) -> int:
         return 0
     big_is_a = lhs > rhs
     return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
+
+
+def floor_exact(v) -> int:
+    """floor(v) for an int, Fraction or QuadIrr, decided exactly."""
+    if not isinstance(v, QuadIrr):
+        return math.floor(v)
+    # s = floor(|b| sqrt D), so floor(v) is lo or lo + 1
+    r = v.b * v.b * v.D
+    s = math.isqrt(r.numerator * r.denominator) // r.denominator
+    lo = math.floor(v.a) + (s if v.b >= 0 else -s - 1)
+    return lo + (quad_sign(v - (lo + 1)) >= 0)
 
 
 def sign_plus_root(u, v, e) -> int:

@@ -64,11 +64,12 @@ def right_coset_key(g: Mat, p: int):
     else:
         d, u, v = xgcd(xs, ys)
         row_op = mat(u, v, Fraction(-ys, d), Fraction(xs, d))
-        assert mat_det(row_op) == 1
+        if mat_det(row_op) != 1:
+            raise Mismatch("row operation determinant is not 1")
         red = mat_mul(row_op, g)
-    a, b = red[0]
-    c2 = red[1][1]
-    assert red[1][0] == 0
+    if red[1][0] != 0:
+        raise Mismatch("row reduction left a nonzero lower-left entry")
+    a = red[0][0]
     # scale the diagonal by diag(u, 1/u), u = +-p^j: make a positive, p-free
     va = val_p(a, p)
     sign = 1 if a > 0 else -1
@@ -80,7 +81,8 @@ def right_coset_key(g: Mat, p: int):
     a_int = int(a)
     t = val_p(c2, p)
     c_free = c2 / Fraction(p) ** t
-    assert c_free.denominator == 1 and c_free > 0
+    if c_free.denominator != 1 or c_free <= 0:
+        raise Mismatch("Hermite corner is not a positive p-free integer")
     c0 = int(c_free)
     # reduce b modulo c * Z[1/p] = c0 * Z[1/p]
     if c0 == 1:
@@ -112,7 +114,8 @@ def double_coset_label(g: Mat, p: int):
         gcd_all = math.gcd(gcd_all, abs(v))
     e1 = p_free(gcd_all, p)
     n_free = p_free(det.numerator, p)  # det > 0 rational with p-power denom
-    assert p_free(det.denominator, p) == 1
+    if p_free(det.denominator, p) != 1:
+        raise Mismatch("determinant denominator is not a power of p")
     e2 = n_free // e1
     t = val_p(det, p)
     return (e1, e2, t)
@@ -155,19 +158,16 @@ def coset_reps_Tn(n: int, p: int) -> CosetList:
                 reps.append(mat(a, b, 0, d))
         out = CosetList(tuple(reps), n, p, "zp")
         _check_pairwise(out)
-        assert len(reps) == sigma1(n)
+        if len(reps) != sigma1(n):
+            raise Mismatch("coset count differs from sigma_1(n)")
         return out
     if n == p:
         reps = [mat(1, b, 0, p) for b in range(p)] + [mat(p, 0, 0, 1)]
         return CosetList(tuple(reps), n, p, "z")
     # composite with p | n: T_n = T_{n0} * T_{p^e}; over this group the
     # p-power part contributes the single coset of diag(1, p)^e
-    n0, e = n, 0
-    while n0 % p == 0:
-        n0 //= p
-        e += 1
-    base = coset_reps_Tn(n0, p)
-    pe = mat(1, 0, 0, p ** e)
+    base = coset_reps_Tn(p_free(n, p), p)
+    pe = mat(1, 0, 0, p ** val_p(n, p))
     reps = tuple(mat_mul(a, pe) for a in base.reps)
     out = CosetList(reps, n, p, "zp")
     _check_pairwise(out)
@@ -214,10 +214,7 @@ class HeckeElt:
     def Tn(n: int, p: int) -> "HeckeElt":
         """The reduced-norm-n operator: sum of the double cosets of O_n."""
         terms: dict = {}
-        n0, e = n, 0
-        while n0 % p == 0:
-            n0 //= p
-            e += 1
+        n0, e = p_free(n, p), val_p(n, p)
         for e1 in divisors(n0):
             if (n0 // e1) % e1:
                 continue
@@ -281,7 +278,8 @@ def hecke_mul(s: HeckeElt, t: HeckeElt) -> HeckeElt:
     """Product in the double-coset algebra: expand on right cosets,
     re-collect, and certify that multiplicities are constant along each
     double coset."""
-    assert s.p == t.p
+    if s.p != t.p:
+        raise ValueError("Hecke elements at different primes")
     p = s.p
     out: dict = {}
     for ls, cs in s.terms.items():
@@ -319,7 +317,6 @@ def act_on_dv(t: HeckeElt, base: QForm, segment: GSegment | None, p: int,
     """Value of the Hecke-translated one-variable cocycle on the chain:
     sum over right cosets alpha of alpha^{-1} . (value on alpha . chain)."""
     total = RMDivisor()
-    cache: dict = {}
     for lbl, coeff in t.terms.items():
         for alpha in cosets_of_label(lbl, p):
             if segment is None:
@@ -327,7 +324,7 @@ def act_on_dv(t: HeckeElt, base: QForm, segment: GSegment | None, p: int,
             moved = segment.transported(alpha)
             ainv = mat_inv(alpha)
             ext = 2 * p_exponent(ainv, p)
-            val = dv_value_on_segment(base, moved, p, levels + ext, cache)
+            val = dv_value_on_segment(base, moved, p, levels + ext)
             total = total + val.act(ainv).scale(coeff)
     return total.restrict_levels(base.disc, p, levels)
 

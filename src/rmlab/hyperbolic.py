@@ -27,9 +27,10 @@ from .errors import (
     MixedDiscriminant,
     SamplesExhausted,
 )
-from .exact import QuadIrr, quad_sign, sign_plus_root, square_core
+from .exact import QuadIrr, floor_exact, quad_sign, sign_plus_root, square_core
 from .mat2 import Mat, mat_det
-from .rmpoints import QForm, _orbit_bfs, class_key
+from .rmpoints import QForm, in_orbit_component
+from .rmpoints import _orbit_bfs, class_key  # noqa: F401 - perfbench rebinds both here
 
 # ---------------------------------------------------------------------------
 # scalar helpers
@@ -76,8 +77,7 @@ class HPoint:
             x = Fraction(x)
         if not isinstance(y, QuadIrr):
             y = Fraction(y)
-        y_sign = quad_sign(y) if isinstance(y, QuadIrr) else (y > 0) - (y < 0)
-        if y_sign <= 0:
+        if quad_sign(y) <= 0:
             raise ValueError("points must lie strictly above the real axis")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -108,13 +108,7 @@ def moebius_point(g: Mat, z: HPoint) -> HPoint:
     x, y = z.x, z.y
     den = (x * c + d) * (x * c + d) + y * y * c * c
     num_x = (x * a + b) * (x * c + d) + y * y * a * c
-    if isinstance(den, QuadIrr):
-        new_x = num_x / den
-        new_y = (y * det) / den
-    else:
-        new_x = num_x / den
-        new_y = y * det / den
-    return HPoint(new_x, new_y)
+    return HPoint(num_x / den, y * det / den)
 
 
 class GSegment:
@@ -191,8 +185,7 @@ def _form_value_sign(A, B, C, z: HPoint) -> int:
     D = z.disc()
     x, y = z.x, z.y
     if E is None or D is None or square_core(E)[0] == square_core(D)[0]:
-        val = A * (x * x + y * y) + B * x + C
-        return quad_sign(val) if isinstance(val, QuadIrr) else (val > 0) - (val < 0)
+        return quad_sign(A * (x * x + y * y) + B * x + C)
     # genuinely mixed tower: write the value as u + v sqrt(D) over Q(sqrt E)
     s = x * x + y * y
     s0, s1, _ = _parts(s)
@@ -246,15 +239,10 @@ def _travel_sign(seg: GSegment) -> int:
     tx, ty = _tangent_at(coeffs, seg.z0)
     dx = seg.z1.x - seg.z0.x
     dy = seg.z1.y - seg.z0.y
-    dot = tx * dx + ty * dy
-    s = quad_sign(dot) if isinstance(dot, QuadIrr) else (dot > 0) - (dot < 0)
+    s = quad_sign(tx * dx + ty * dy)
     if s == 0:
         raise DegenerateConfiguration("tangent orthogonal to chord")
     return s
-
-
-def _sign_of(v) -> int:
-    return quad_sign(v) if isinstance(v, QuadIrr) else (v > 0) - (v < 0)
 
 
 def _proportional(c1, c2) -> bool:
@@ -274,7 +262,7 @@ def _x_overlap(seg1: GSegment, seg2: GSegment) -> bool:
 
 def _lt(a, b) -> bool:
     d = b - a
-    return _sign_of(d) > 0
+    return quad_sign(d) > 0
 
 
 def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
@@ -300,7 +288,7 @@ def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     if 0 in (a, b, c, d):
         raise DegenerateConfiguration("segment endpoint on the other geodesic")
     w = ct[0] * cs[1] - cs[0] * ct[1]
-    sw = _sign_of(w)
+    sw = quad_sign(w)
     if sw == 0:  # concentric circles or parallel verticals cannot cross
         raise DegenerateConfiguration("tangent configuration")
     return _travel_sign(seg1) * _travel_sign(t) * sw
@@ -353,10 +341,7 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
     A, B, C = piece.coeffs
     eps, cx, cy = piece.eps, piece.cx, piece.cy
     out: list[int] = []
-    travel = _sign_of(piece.p1 - piece.p0)
-
-    def ray_sign(X, Y):
-        return _sign_of(Y - q * X)
+    travel = quad_sign(piece.p1 - piece.p0)
 
     if piece.vertical:
         # points: X = eps*x0 + cx constant, Y = eps*y + cy
@@ -365,12 +350,12 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
         # W(y) = eps*y + cy - q X ; zero at y*
         ystar = (q * X - cy) / eps
         lo, hi = piece.p0, piece.p1
-        s_lo = _sign_of(ystar - lo)
-        s_hi = _sign_of(ystar - hi)
+        s_lo = quad_sign(ystar - lo)
+        s_hi = quad_sign(ystar - hi)
         if s_lo == 0 or s_hi == 0:
             return None
         if s_lo * s_hi < 0:
-            sX = _sign_of(X)
+            sX = quad_sign(X)
             if sX == 0:
                 return None
             if sX > 0:
@@ -384,7 +369,7 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
     beta = 2 * A * q * r + B
     gamma = A * r * r + C
     disc = beta * beta - 4 * alpha * gamma
-    sd = _sign_of(disc)
+    sd = quad_sign(disc)
     if sd == 0:
         return None  # tangency: perturb the ray
     if sd < 0:
@@ -393,7 +378,7 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
     for sgn in (1, -1):
         # root x* = (-beta + sgn sqrt(disc)) / (2 alpha)
         twoa = 2 * alpha
-        sa = _sign_of(twoa)
+        sa = quad_sign(twoa)
         # x* - v has the sign of (-beta - twoa*v) + sgn*sqrt(disc), times sign(twoa)
         def cmp_to(v):
             return sa * sign_plus_root(-beta - twoa * v, Fraction(sgn), disc)
@@ -406,7 +391,7 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
         # y-coordinate on the arc must be positive: f(x*) = q x* + r > 0
         # sign of q x* + r: (q(-beta) + r twoa) + q sgn sqrt(disc), over twoa
         y_sign = sa * sign_plus_root(q * (-beta) + r * twoa, q * sgn, disc) \
-            if q != 0 else _sign_of(r)
+            if q != 0 else quad_sign(r)
         if y_sign <= 0:
             continue  # crossing happens on the lower half of the circle
         # X > 0: eps x* + cx > 0
@@ -490,20 +475,8 @@ def _seg_box(seg: GSegment):
     return xs[0], xs[1], ys[0]
 
 
-def _frac_floor(v) -> int:
-    if isinstance(v, QuadIrr):
-        # s = floor(|b| sqrt D), so floor(v) is lo or lo + 1
-        r = v.b * v.b * v.D
-        s = math.isqrt(r.numerator * r.denominator) // r.denominator
-        lo = math.floor(v.a) + (s if v.b >= 0 else -s - 1)
-        while not _lt(v, Fraction(lo + 1)):
-            lo += 1
-        return lo
-    return math.floor(v)
-
-
-def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
-                             orbit_cache: dict | None = None) -> list[tuple[QForm, int]]:
+def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
+                             levels: int) -> list[tuple[QForm, int]]:
     """All forms in the SL2(Z[1/p]) orbit of base, of discriminant
     disc * p^(2m) with |m| <= levels, whose geodesic crosses the segment,
     with their crossing signs.
@@ -515,21 +488,14 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
     """
     x_lo, x_hi, y_min = _seg_box(seg)
     d0 = base.disc
-    if orbit_cache is None:
-        orbit_cache = {}
-    key = ("orbit", base.triple(), p, levels)
-    if key not in orbit_cache:
-        cap = d0 * p ** (2 * (levels + 2))
-        visited, _ = _orbit_bfs(base, p, cap)
-        orbit_cache[key] = visited
-    orbit_nodes = orbit_cache[key]
+    top_disc = d0 * p ** (2 * levels)
     out: list[tuple[QForm, int]] = []
 
     def scan_A(d, A):
         s = math.isqrt(d)
         vals = sorted([2 * A * x_lo, 2 * A * x_hi])
-        b_lo = _frac_floor(-s - vals[1]) - 1
-        b_hi = _frac_floor(s - vals[0]) + 2
+        b_lo = floor_exact(-s - vals[1]) - 1
+        b_hi = floor_exact(s - vals[0]) + 2
         for B in range(b_lo, b_hi + 1):
             num = B * B - d
             if num % (4 * A) != 0:
@@ -548,7 +514,7 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
             if s0 != 0 and s0 == s1:
                 continue
             # only orbit members matter, including for degeneracy
-            if (class_key(f), 0) not in orbit_nodes:
+            if not in_orbit_component(f, base, p, top_disc):
                 continue
             if s0 == 0 or s1 == 0:
                 raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
@@ -567,7 +533,7 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int, levels: int,
             d = d0 * p ** (2 * m)
         amax_sq = Fraction(d, 4)
         a = 1
-        while _sign_of(amax_sq - y_min * y_min * (a * a)) >= 0:
+        while quad_sign(amax_sq - y_min * y_min * (a * a)) >= 0:
             scan_A(d, a)
             scan_A(d, -a)
             a += 1

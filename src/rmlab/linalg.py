@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import Mismatch
 from .exact import divisors
 
 
@@ -147,7 +148,8 @@ def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
             acc = poly[i] + acc * root
             out[i - 1] = acc
         rem = poly[0] + acc * root
-        assert rem == 0
+        if rem != 0:
+            raise Mismatch("synthetic division left a remainder")
         poly = out
     return roots
 

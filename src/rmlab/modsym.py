@@ -108,7 +108,8 @@ def dimension_formula(N: int) -> tuple[int, int, int]:
     cusps = sum(_phi(math.gcd(d, N // d)) for d in divisors(N))
     genus = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
         - Fraction(cusps, 2)
-    assert genus.denominator == 1
+    if genus.denominator != 1:
+        raise Mismatch(f"genus formula gave a non-integer at N={N}")
     g = int(genus)
     return g, cusps, g + cusps - 1
 
@@ -215,8 +216,7 @@ def _lift_sl2(cd, N: int):
     for t in range(4 * N + 2):
         dd = d1 + t * N
         if math.gcd(c1, dd) == 1:
-            g, x, y = xgcd(c1, dd)
-            assert g == 1
+            _, x, y = xgcd(c1, dd)
             # a dd - b c1 = 1 with a = y, b = -x
             return (y, -x, c1, dd)
         if c1 == 0 and dd == 0:
@@ -294,7 +294,8 @@ def cusp_eigenvalue(n: int, basis: ManinBasis, cusp_basis) -> Fraction:
         if x != 0:
             lam = tv[i] / x
             break
-    assert lam is not None
+    if lam is None:
+        raise Mismatch("zero cusp basis vector")
     if [lam * x for x in v] != tv:
         raise Mismatch("cuspidal space is not Hecke-scalar at this level")
     return lam
@@ -412,9 +413,9 @@ def path_vector(basis: ManinBasis, r1, r2) -> list[Fraction]:
         for i in range(1, len(conv)):
             (pp, qp), (pn, qn) = conv[i - 1], conv[i]
             det = pn * qp - pp * qn
-            assert det in (1, -1)
             g = (pn, det * pp, qn, det * qp)  # {g 0, g inf} = {prev, next}
-            assert g[0] * g[3] - g[1] * g[2] == 1
+            if det not in (1, -1) or g[0] * g[3] - g[1] * g[2] != 1:
+                raise Mismatch("continued-fraction step is not in SL2(Z)")
             v = basis.symbol_vector((g[2], g[3]))
             out = [x0 + y0 for x0, y0 in zip(out, v)]
         return out

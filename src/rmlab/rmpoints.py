@@ -13,18 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DoesNotStabilize, Mismatch, NotRM
-from .exact import QuadIrr, is_square_int, kronecker, quad_sign, square_core, val_p
+from .exact import QuadIrr, is_square_int, kronecker, p_free, quad_sign, square_core, val_p
 from .mat2 import (
     IDENT,
     Mat,
-    from_ints,
     mat,
     mat_det,
     mat_inv,
     mat_mul,
     mat_scale,
     moebius_quadirr,
-    p_exponent,
     primitive_integral,
 )
 
@@ -106,8 +104,9 @@ class Automorph:
 
 
 def is_rm_for(form: QForm, p: int) -> bool:
-    """True iff p is non-split in Q(sqrt disc): Kronecker (disc/p) != 1."""
-    return kronecker(form.disc, p) != 1
+    """True iff p is non-split in Q(sqrt disc): Kronecker (d_K/p) != 1 for
+    the field's fundamental discriminant d_K (the conductor plays no part)."""
+    return kronecker(conductor(form.disc)[0], p) != 1
 
 
 def _require_rm(form: QForm, p: int) -> None:
@@ -299,19 +298,16 @@ def _neighbor_moves(p: int) -> list[Mat]:
     return [mat(1, j, 0, p) for j in range(p)] + [mat(p, 0, 0, 1)]
 
 
-def _orbit_bfs(f: QForm, p: int, disc_cap: int, target=None):
-    """BFS over (class key, path parity) nodes via determinant-p moves.
+def _orbit_bfs(f: QForm, p: int, disc_cap: int):
+    """BFS over (class key, path parity) nodes via determinant-p moves,
+    exploring the whole component of discriminants <= disc_cap.
 
     Returns (visited, parents): parents maps a node to (parent node, move).
-    Witnesses are reconstructed lazily by _orbit_witness.  Stops early when
-    the target node is reached.
+    Witnesses are reconstructed lazily by _orbit_witness.
     """
-    start_key = class_key(f)
-    start = (start_key, 0)
+    start = (class_key(f), 0)
     visited = {start}
     parents: dict = {start: None}
-    if target == start:
-        return visited, parents
     frontier = [start]
     moves = _neighbor_moves(p)
     while frontier:
@@ -327,11 +323,34 @@ def _orbit_bfs(f: QForm, p: int, disc_cap: int, target=None):
                     continue
                 visited.add(node)
                 parents[node] = ((key, parity), mv)
-                if target is not None and node == target:
-                    return visited, parents
                 new_frontier.append(node)
         frontier = new_frontier
     return visited, parents
+
+
+_ORBIT_CACHE: dict[tuple[tuple[int, int, int], int, int], tuple[set, dict]] = {}
+
+
+def _orbit_component(f: QForm, p: int, top_disc: int) -> tuple[set, dict]:
+    """_orbit_bfs of f under the cap top_disc * p^4, cached per
+    (class key, p, cap).
+
+    The BFS reads nothing of f but its class key; _orbit_witness adds the
+    f-specific matrix.  By the argument in orbit_equivalent, top_disc =
+    max(d1, d2) alone would already be complete; the p^4 margin is kept.
+    """
+    cap = top_disc * p ** 4
+    key = (class_key(f), p, cap)
+    hit = _ORBIT_CACHE.get(key)
+    if hit is None:
+        hit = _ORBIT_CACHE[key] = _orbit_bfs(f, p, cap)
+    return hit
+
+
+def in_orbit_component(f: QForm, base: QForm, p: int, top_disc: int) -> bool:
+    """True iff f's root lies in the SL2(Z[1/p]) orbit of base's root, read
+    off base's cached component; exact when top_disc >= f.disc, base.disc."""
+    return (class_key(f), 0) in _orbit_component(base, p, top_disc)[0]
 
 
 def _orbit_witness(f: QForm, parents: dict, node) -> Mat:
@@ -352,35 +371,28 @@ def _orbit_witness(f: QForm, parents: dict, node) -> Mat:
     return w
 
 
-def _bfs_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None) -> Mat | None:
+def _bfs_conjugator(f1: QForm, f2: QForm, p: int) -> Mat | None:
     """gamma in SL2(Z[1/p]) with gamma . root(f1) = root(f2), read off the
     class-key BFS path to f2's class at even parity; None when the BFS
     does not reach it.  The matrix is verified exactly before it is
     returned."""
-    if levels is None:
-        levels = 2
-    cap = max(f1.disc, f2.disc) * p ** (2 * levels)
     target = (class_key(f2), 0)
-    visited, parents = _orbit_bfs(f1, p, cap, target=target)
+    visited, parents = _orbit_component(f1, p, max(f1.disc, f2.disc))
     if target not in visited:
         return None
     w = _orbit_witness(f1, parents, target)
     w2 = class_witness(f2, target[0])  # root(keyform) = w2 . root(f2)
     full = mat_mul(mat_inv(w2), w)
-    det = mat_det(full)
-    k = 0
-    while det % (p * p) == 0:
-        det /= p * p
-        k += 1
-    if det != 1:
+    k, odd = divmod(val_p(mat_det(full), p), 2)
+    gamma = mat_scale(full, Fraction(p) ** -k)
+    if odd or mat_det(gamma) != 1:
         raise Mismatch("witness determinant is not an even power of p")
-    gamma = mat_scale(full, Fraction(1, p ** k))
     if moebius_quadirr(gamma, f1.root()) != f2.root():
         raise Mismatch("BFS witness failed exact verification")
     return gamma
 
 
-def orbit_equivalent(f1: QForm, f2: QForm, p: int, levels: int | None = None) -> bool:
+def orbit_equivalent(f1: QForm, f2: QForm, p: int) -> bool:
     """True iff the roots lie in one SL2(Z[1/p]) orbit.
 
     Necessary condition: disc ratio is an even power of p.  The decision
@@ -397,29 +409,22 @@ def orbit_equivalent(f1: QForm, f2: QForm, p: int, levels: int | None = None) ->
     geodesics, so the geodesic from f1's vertex to a vertex carrying
     f2's root peaks at one of its ends, i.e. at discriminant
     max(d1, d2).  Its length has the parity of val_p det(p^j gamma) = 2j,
-    and its image among SL2(Z)-classes is a BFS path.  The cap
-    max(d1, d2) p^(2 levels) contains that path for every levels >= 0,
-    so a negative answer is exact.
+    and its image among SL2(Z)-classes is a BFS path.  The cap of
+    _orbit_component, max(d1, d2) p^4, contains that path, so a negative
+    answer is exact.
     """
     _require_rm(f1, p)
     _require_rm(f2, p)
     if f1 == f2:
         return True
     d1, d2 = f1.disc, f2.disc
-    big, small = max(d1, d2), min(d1, d2)
-    if big % small != 0:
+    ratio, rem = divmod(max(d1, d2), min(d1, d2))
+    if rem or p_free(ratio, p) != 1 or val_p(ratio, p) % 2:
         return False
-    ratio = big // small
-    m2 = 0
-    while ratio % p == 0:
-        ratio //= p
-        m2 += 1
-    if ratio != 1 or m2 % 2 != 0:
-        return False
-    return _bfs_conjugator(f1, f2, p, levels) is not None
+    return _bfs_conjugator(f1, f2, p) is not None
 
 
-def orbit_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None = None) -> Mat:
+def orbit_conjugator(f1: QForm, f2: QForm, p: int) -> Mat:
     """A matrix gamma in SL2(Z[1/p]) with gamma . root(f1) = root(f2)."""
     _require_rm(f1, p)
     _require_rm(f2, p)
@@ -427,21 +432,17 @@ def orbit_conjugator(f1: QForm, f2: QForm, p: int, levels: int | None = None) ->
     big, small = max(d1, d2), min(d1, d2)
     if big % small != 0:
         raise NotRM("roots are in different orbits (disc ratio)")
-    gamma = _bfs_conjugator(f1, f2, p, levels)
+    gamma = _bfs_conjugator(f1, f2, p)
     if gamma is None:
-        raise Mismatch("no conjugator found; points not equivalent at this level")
+        raise Mismatch("no conjugator found; points not equivalent")
     return gamma
 
 
 def rm_discs_up_to(bound: int, p: int) -> list[int]:
-    """All positive non-square discriminants <= bound with p non-split."""
-    out = []
-    for d in range(2, bound + 1):
-        if d % 4 not in (0, 1) or is_square_int(d):
-            continue
-        if kronecker(d, p) != 1:
-            out.append(d)
-    return out
+    """All positive non-square discriminants <= bound with p non-split in
+    their field."""
+    return [d for d in range(2, bound + 1) if d % 4 in (0, 1) and not is_square_int(d)
+            and kronecker(conductor(d)[0], p) != 1]
 
 
 def form_of_disc(d: int) -> QForm:

@@ -53,6 +53,13 @@ def test_math_error_exits_1(capsys):
     assert json.loads(out)["error"]["kind"] == "NotRM"
 
 
+def test_automorph_split_field_with_p_in_conductor_exits_1(capsys):
+    # disc 68 = 2^2 * 17 and 17 = 1 mod 8: 2 splits in Q(sqrt 17)
+    code, out = capture(capsys, ["automorph", "--form", "1,0,-17", "--p", "2"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "NotRM"
+
+
 def test_reruns_byte_identical(capsys):
     argv = ["dv", "--form", "1,-1,-1", "--gamma", "2,1,1,1", "--p", "2",
             "--levels", "1"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rmlab import rmpoints
 from rmlab.cocycles import (
     ChainSquare,
     RMDivisor,
@@ -16,8 +17,10 @@ from rmlab.cocycles import (
     label_inverse,
     sigma_swap,
     theorem_b_chain_check,
+    _upper,
 )
 from rmlab.errors import NotRM
+from rmlab.exact import QuadIrr
 from rmlab.hyperbolic import GSegment, HPoint, winding_oracle
 from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul, mat_neg
 from rmlab.rmpoints import QForm, form_apply
@@ -53,6 +56,29 @@ def test_dv_value_nonempty_low_base_point():
 
     assert d == brute_divisor(GOLDEN, mat(2, 1, 1, 1), X0, 2, 1)
     assert not d.is_zero()
+
+
+def test_dv_values_share_one_orbit_bfs(monkeypatch):
+    # the orbit component is cached per (class, p, cap), not per call
+    calls = []
+    bfs = rmpoints._orbit_bfs
+    monkeypatch.setattr(rmpoints, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(rmpoints, "_orbit_bfs", lambda *a: calls.append(a) or bfs(*a))
+    d1 = dv_value(GOLDEN, mat(2, 1, 1, 1), X0, 2, 1)
+    d2 = dv_value(GOLDEN, mat(0, -1, 1, 0), X0, 2, 1)
+    assert not d1.is_zero() and not d2.is_zero() and d1 != d2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("v", [
+    QuadIrr(10 ** 400, 1, 2),  # float(v) overflows
+    QuadIrr(Fraction(1, 3), Fraction(-2, 7), 5),
+    QuadIrr(Fraction(-10 ** 30, 7), Fraction(1, 10 ** 6), 2),
+])
+def test_upper_is_exact_grid_ceiling(v):
+    u = _upper(v)
+    assert v <= u < v + Fraction(1, 4096)
+    assert (4096 * u).denominator == 1
 
 
 def test_cocycle_defect_identity():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint
-from rmlab.exact import QuadIrr
+from rmlab.exact import QuadIrr, floor_exact
 from rmlab.hyperbolic import (
     GSegment,
     HPoint,
     OrientedGeodesic,
-    _frac_floor,
     _seg_box,
     carrying_coeffs,
     cross_segment,
@@ -269,7 +268,7 @@ def test_carrying_coeffs_through_points():
     (QuadIrr(Fraction(1, 2), -1, 2), -1),
 ])
 def test_frac_floor_exact(v, floor):
-    assert _frac_floor(v) == floor
+    assert floor_exact(v) == floor
 
 
 def test_seg_box_orders_endpoints_exactly():

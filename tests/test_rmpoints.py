@@ -47,6 +47,13 @@ def test_is_rm_for_examples():
     assert is_rm_for(GOLDEN, 2)
     assert is_rm_for(GOLDEN, 5)
     assert not is_rm_for(GOLDEN, 11)
+    # the field decides, not the conductor: 2 splits in Q(sqrt 17) (disc 68)
+    # and 3 splits in Q(sqrt 13) (disc 117 = 3^2 * 13)
+    assert not is_rm_for(QForm(1, 0, -17), 2)
+    assert not is_rm_for(QForm(1, 1, -29), 3)
+    assert is_rm_for(QForm(1, 0, -5), 2)  # disc 20 = 2^2 * 5, 2 inert
+    with pytest.raises(NotRM):
+        automorph(QForm(1, 0, -17), 2)
 
 
 def test_automorph_golden():
@@ -148,8 +155,9 @@ def test_pell_cycle_matches_linear_scan():
 
 
 def test_automorph_large_units():
-    # effective discriminants 421, 604 and 97 (388 with the 2 stripped)
-    for f in (QForm(1, 1, -105), QForm(1, 0, -151), QForm(1, 0, -97)):
+    # effective discriminants 421, 604 and 349 (1396 with the 2 stripped;
+    # 349 = 5 mod 8, so 2 is inert); u = 18162120 for 349
+    for f in (QForm(1, 1, -105), QForm(1, 0, -151), QForm(1, 0, -349)):
         a = automorph(f, 2)
         (g00, _), (g10, g11) = a.gamma
         assert mat_det(a.gamma) == 1
@@ -158,6 +166,8 @@ def test_automorph_large_units():
         assert t * t - f.disc * U * U == 4
         assert a.eps == QuadIrr(t / 2, U / 2, f.disc)
         assert a.eps > 1
+    with pytest.raises(NotRM):  # 388 = 2^2 * 97 and 2 splits in Q(sqrt 97)
+        automorph(QForm(1, 0, -97), 2)
 
 
 def test_reduced_cycle_closes():
@@ -185,6 +195,7 @@ def test_orbit_equivalent_p_scaling():
     assert orbit_equivalent(GOLDEN, moved, 2)
     conj = orbit_conjugator(GOLDEN, moved, 2)
     assert moebius_quadirr(conj, GOLDEN.root()) == moved.root()
+    assert conj == mat(2, 0, 0, Fraction(1, 2))  # the BFS path, pinned
 
 
 def test_orbit_inequivalent_odd_parity():
@@ -221,6 +232,7 @@ def test_automorph_wrong_root_raises_mismatch(monkeypatch):
 def test_orbit_conjugator_identity_translate():
     t = form_apply(mat(1, 2, 0, 1), GOLDEN)
     g = orbit_conjugator(GOLDEN, t, 3)
+    assert g == mat(-4, -3, -1, -1)  # the BFS path, pinned
     assert mat_det(g) == 1
     assert moebius_quadirr(g, GOLDEN.root()) == t.root()
 
@@ -239,3 +251,7 @@ def test_rm_discs_list():
     d3 = rm_discs_up_to(20, 3)
     assert 5 in d3 and 8 in d3 and 12 in d3
     assert 13 not in d3  # 13 = 1 mod 3 is a QR mod 3
+    assert 68 not in rm_discs_up_to(80, 2)  # 68 = 2^2 * 17
+    assert 20 in rm_discs_up_to(80, 2) and 32 in rm_discs_up_to(80, 2)
+    assert 117 not in rm_discs_up_to(200, 3)  # 117 = 3^2 * 13
+    assert 45 in rm_discs_up_to(200, 3)  # 45 = 3^2 * 5, 3 inert
