@@ -129,33 +129,17 @@ def neighbors(v: TVertex, p: int) -> list[TVertex]:
     return out
 
 
-def vertex_up(v: TVertex, p: int) -> TVertex:
-    """The neighbor toward the end at infinity."""
-    return make_vertex(p, v.k - 1, v.u)
-
-
 def tree_path(v: TVertex, w: TVertex, p: int) -> list[TVertex]:
-    """The geodesic vertex path from v to w (inclusive)."""
-    av, aw = [v], [w]
-    seen_v = {v: 0}
-    seen_w = {w: 0}
-    cur_v, cur_w = v, w
-    for _ in range(512):
-        if cur_v in seen_w:
-            i = seen_w[cur_v]
-            return av + list(reversed(aw[:i]))
-        if cur_w in seen_v:
-            i = seen_v[cur_w]
-            return av[:i] + list(reversed(aw))
-        cur_v = vertex_up(cur_v, p)
-        if cur_v not in seen_v:
-            seen_v[cur_v] = len(av)
-            av.append(cur_v)
-        cur_w = vertex_up(cur_w, p)
-        if cur_w not in seen_w:
-            seen_w[cur_w] = len(aw)
-            aw.append(cur_w)
-    raise RuntimeError("tree path search diverged")  # pragma: no cover
+    """The geodesic vertex path from v to w (inclusive).
+
+    The rays from v and w toward infinity pass through (j, u mod p^j) for
+    j <= k and first meet at level m = min(k_v, k_w, val_p(u_v - u_w)):
+    walk up from v to level m, then down to w."""
+    m = min(v.k, w.k)
+    if v.u != w.u:
+        m = min(m, val_p(v.u - w.u, p))
+    return ([make_vertex(p, j, v.u) for j in range(v.k, m - 1, -1)]
+            + [make_vertex(p, j, w.u) for j in range(m + 1, w.k + 1)])
 
 
 def tree_distance(v: TVertex, w: TVertex, p: int) -> int:

@@ -24,6 +24,7 @@ from .hyperbolic import (
     GSegment,
     HPoint,
     OrientedGeodesic,
+    carrying_coeffs,
     cross_segment,
     enumerate_crossing_orbit,
     ez_cross,
@@ -332,8 +333,6 @@ def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     x_hi = max(_upper(x) for x in xs)
     y_lo = min(_lower_pos(y) for y in ys)
     y_hi = max(_upper(y) for y in ys)
-    from .hyperbolic import carrying_coeffs
-
     A, B, C = carrying_coeffs(seg)
     if A != 0:
         x_apex = -B / (2 * A)

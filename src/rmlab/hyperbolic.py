@@ -33,66 +33,67 @@ from .rmpoints import QForm, in_orbit_component
 from .rmpoints import _orbit_bfs, class_key  # noqa: F401 - perfbench rebinds both here
 
 # ---------------------------------------------------------------------------
-# scalar helpers
-
-
-def _parts(v):
-    """Decompose a scalar as (a, b, D) with value a + b sqrt(D); D may be None."""
-    if isinstance(v, QuadIrr):
-        if v.b == 0:
-            return v.a, Fraction(0), None
-        return v.a, v.b, v.D
-    return Fraction(v), Fraction(0), None
-
-
-def _join_disc(*vals) -> int | None:
-    D = None
-    for v in vals:
-        _, b, d = _parts(v)
-        if d is None:
-            continue
-        if D is None:
-            D = d
-        elif D != d:
-            a1, m1 = square_core(D)
-            a2, m2 = square_core(d)
-            if a1 != a2:
-                raise MixedDiscriminant(f"unsupported field tower: {D} vs {d}")
-            D = a1
-    return D
-
-
-# ---------------------------------------------------------------------------
 # points, segments, geodesics
 
 
-class HPoint:
-    """Point x + iy of the upper half-plane, y > 0, exact coordinates."""
+def _join_fields(D1: int | None, D2: int | None) -> int | None:
+    """The one quadratic field of two stored discriminants (None is Q):
+    equal ones are kept, different ones with the same squarefree core give
+    that core."""
+    if D1 is None or D1 == D2:
+        return D2
+    if D2 is None:
+        return D1
+    core = square_core(D1)[0]
+    if core != square_core(D2)[0]:
+        raise MixedDiscriminant(f"unsupported field tower: {D1} vs {D2}")
+    return core
 
-    __slots__ = ("x", "y")
+
+def _field_of(v) -> int | None:
+    return v.D if isinstance(v, QuadIrr) and v.b != 0 else None
+
+
+def _over(v, D: int) -> QuadIrr:
+    """v, an element of Q(sqrt D), written as a QuadIrr over exactly D."""
+    if not isinstance(v, QuadIrr):
+        return QuadIrr(v, 0, D)
+    if v.D == D:
+        return v
+    return QuadIrr(v.a, 0, D) if v.b == 0 else v.canonical()
+
+
+class HPoint:
+    """Point x + iy of the upper half-plane, y > 0, exact coordinates.
+
+    D is the point's field Q(sqrt D), fixed when the point is built: None
+    when both coordinates are rational, otherwise both coordinates are
+    QuadIrr values over this one D."""
+
+    __slots__ = ("x", "y", "D")
 
     def __init__(self, x, y):
-        _join_disc(x, y)  # raises on an unsupported tower
         if not isinstance(x, QuadIrr):
             x = Fraction(x)
         if not isinstance(y, QuadIrr):
             y = Fraction(y)
+        D = _join_fields(_field_of(x), _field_of(y))  # raises on an unsupported tower
+        if D is not None:
+            x, y = _over(x, D), _over(y, D)
         if quad_sign(y) <= 0:
             raise ValueError("points must lie strictly above the real axis")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "D", D)
 
     def __setattr__(self, *args):
         raise AttributeError("HPoint is immutable")
-
-    def disc(self) -> int | None:
-        return _join_disc(self.x, self.y)
 
     def __eq__(self, other):
         return isinstance(other, HPoint) and self.x == other.x and self.y == other.y
 
     def __hash__(self):
-        return hash(("H", str(self.x), str(self.y)))
+        return hash(("H", self.x, self.y))
 
     def __repr__(self):
         return f"HPoint({self.x}, {self.y})"
@@ -112,16 +113,18 @@ def moebius_point(g: Mat, z: HPoint) -> HPoint:
 
 
 class GSegment:
-    """Oriented geodesic segment between two distinct points."""
+    """Oriented geodesic segment between two distinct points; D is the
+    field of both endpoints, as for HPoint."""
 
-    __slots__ = ("z0", "z1")
+    __slots__ = ("z0", "z1", "D")
 
     def __init__(self, z0: HPoint, z1: HPoint):
         if z0 == z1:
             raise ValueError("segment endpoints must differ")
-        _join_disc(z0.x, z0.y, z1.x, z1.y)  # raises on incompatible towers
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "z1", z1)
+        # raises on incompatible towers
+        object.__setattr__(self, "D", _join_fields(z0.D, z1.D))
 
     def __setattr__(self, *args):
         raise AttributeError("GSegment is immutable")
@@ -150,9 +153,6 @@ class OrientedGeodesic:
     def __setattr__(self, *args):
         raise AttributeError("OrientedGeodesic is immutable")
 
-    def coeffs(self):
-        return (Fraction(self.form.A), Fraction(self.form.B), Fraction(self.form.C))
-
     def apex(self) -> HPoint:
         A, B = self.form.A, self.form.B
         return HPoint(Fraction(-B, 2 * A),
@@ -179,26 +179,26 @@ def point_on_geodesic(form: QForm, t: Fraction) -> HPoint:
 # side and crossing predicates
 
 
-def _form_value_sign(A, B, C, z: HPoint) -> int:
-    """Exact sign of A(x^2+y^2) + Bx + C for field coefficients and point."""
-    E = _join_disc(A, B, C)
-    D = z.disc()
+def _form_value_sign(coeffs, E: int | None, z: HPoint) -> int:
+    """Exact sign of A(x^2+y^2) + Bx + C for coefficients in Q(sqrt E) and
+    a point over its own field."""
+    A, B, C = coeffs
+    D = z.D
     x, y = z.x, z.y
-    if E is None or D is None or square_core(E)[0] == square_core(D)[0]:
+    if E is None or D is None or E == D or square_core(E)[0] == square_core(D)[0]:
         return quad_sign(A * (x * x + y * y) + B * x + C)
     # genuinely mixed tower: write the value as u + v sqrt(D) over Q(sqrt E)
     s = x * x + y * y
-    s0, s1, _ = _parts(s)
-    x0, x1, _ = _parts(x)
-    u = A * s0 + B * x0 + C
-    v = A * s1 + B * x1
-    return sign_plus_root(u, v, Fraction(D))
+    u = A * s.a + B * x.a + C
+    v = A * s.b + B * x.b
+    return sign_plus_root(u, v, D)
 
 
 def side(g: OrientedGeodesic, z: HPoint) -> int:
     """Which component of the complement the point lies in (0 = on it)."""
-    A, B, C = g.coeffs()
-    return _form_value_sign(A, B, C, z)
+    f = g.form
+    x, y = z.x, z.y
+    return quad_sign(f.A * (x * x + y * y) + f.B * x + f.C)
 
 
 def cross_segment(seg: GSegment, g: OrientedGeodesic) -> int:
@@ -279,10 +279,10 @@ def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
         if _x_overlap(seg1, t):
             raise DegenerateConfiguration("segments share their geodesic")
         return 0
-    a = _form_value_sign(*ct, seg1.z0)
-    b = _form_value_sign(*ct, seg1.z1)
-    c = _form_value_sign(*cs, t.z0)
-    d = _form_value_sign(*cs, t.z1)
+    a = _form_value_sign(ct, t.D, seg1.z0)
+    b = _form_value_sign(ct, t.D, seg1.z1)
+    c = _form_value_sign(cs, seg1.D, t.z0)
+    d = _form_value_sign(cs, seg1.D, t.z1)
     if a * b > 0 or c * d > 0:
         return 0  # one segment strictly misses the other's geodesic
     if 0 in (a, b, c, d):

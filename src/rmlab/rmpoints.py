@@ -332,18 +332,18 @@ _ORBIT_CACHE: dict[tuple[tuple[int, int, int], int, int], tuple[set, dict]] = {}
 
 
 def _orbit_component(f: QForm, p: int, top_disc: int) -> tuple[set, dict]:
-    """_orbit_bfs of f under the cap top_disc * p^4, cached per
-    (class key, p, cap).
+    """_orbit_bfs of f under the cap top_disc, cached per (class key, p,
+    cap).
 
     The BFS reads nothing of f but its class key; _orbit_witness adds the
-    f-specific matrix.  By the argument in orbit_equivalent, top_disc =
-    max(d1, d2) alone would already be complete; the p^4 margin is kept.
+    f-specific matrix.  By the argument in orbit_equivalent, membership
+    read off the component is exact for every form of discriminant at
+    most top_disc.
     """
-    cap = top_disc * p ** 4
-    key = (class_key(f), p, cap)
+    key = (class_key(f), p, top_disc)
     hit = _ORBIT_CACHE.get(key)
     if hit is None:
-        hit = _ORBIT_CACHE[key] = _orbit_bfs(f, p, cap)
+        hit = _ORBIT_CACHE[key] = _orbit_bfs(f, p, top_disc)
     return hit
 
 
@@ -410,7 +410,7 @@ def orbit_equivalent(f1: QForm, f2: QForm, p: int) -> bool:
     f2's root peaks at one of its ends, i.e. at discriminant
     max(d1, d2).  Its length has the parity of val_p det(p^j gamma) = 2j,
     and its image among SL2(Z)-classes is a BFS path.  The cap of
-    _orbit_component, max(d1, d2) p^4, contains that path, so a negative
+    _orbit_component, max(d1, d2), contains that path, so a negative
     answer is exact.
     """
     _require_rm(f1, p)

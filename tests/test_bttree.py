@@ -62,6 +62,28 @@ def test_tree_path_and_distance():
     assert tree_distance(v, w, p) == len(path) - 1
 
 
+def test_tree_path_matches_ball_bfs():
+    # a ball of the tree is convex, so BFS inside it gives tree distances
+    for p, radius in ((2, 4), (3, 3), (5, 2)):
+        verts = CochainPatch.ball_vertices(p, radius)
+        adj = {v: set(neighbors(v, p)).intersection(verts) for v in verts}
+        for v in verts:
+            dist = {v: 0}
+            frontier = [v]
+            while frontier:
+                new = []
+                for u in frontier:
+                    for w in adj[u] - dist.keys():
+                        dist[w] = dist[u] + 1
+                        new.append(w)
+                frontier = new
+            for w in verts:
+                path = tree_path(v, w, p)
+                assert path[0] == v and path[-1] == w
+                assert len(path) - 1 == dist[w]
+                assert all(b in adj[a] for a, b in zip(path, path[1:]))
+
+
 def test_reduce_point_standard_ends():
     for p in (2, 3, 5):
         ray = reduce_point(INFINITY, p, 4)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint
+from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint, MixedDiscriminant
 from rmlab.exact import QuadIrr, floor_exact
 from rmlab.hyperbolic import (
     GSegment,
@@ -40,6 +40,28 @@ def test_side_examples():
     neg = OrientedGeodesic(-GOLDEN)
     assert side(neg, z) == -1
     assert side(neg, zin) == 1
+
+
+def test_point_fields_and_errors():
+    # coordinates over sqrt(20) and sqrt(5) share one field, stored over 5
+    z = HPoint(QuadIrr(0, 1, 20), QuadIrr(3, 1, 5))
+    assert z.D == 5 and z.x.D == z.y.D == 5 and z.x == QuadIrr(0, 2, 5)
+    assert HPoint(Fraction(1, 2), 3).D is None
+    assert GSegment(z, HPoint(1, 1)).D == 5
+    with pytest.raises(MixedDiscriminant):
+        HPoint(QuadIrr(0, 1, 2), QuadIrr(2, 1, 3))
+    with pytest.raises(MixedDiscriminant):
+        GSegment(HPoint(QuadIrr(0, 1, 2), 1), HPoint(0, QuadIrr(2, 1, 3)))
+    with pytest.raises(ValueError):
+        HPoint(1, QuadIrr(2, -1, 5))
+
+
+def test_point_hash_agrees_with_equality():
+    a = HPoint(QuadIrr(0, 1, 20), 1)
+    b = HPoint(QuadIrr(0, 2, 5), 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(HPoint(QuadIrr(1, 0, 7), 2)) == hash(HPoint(1, 2))
 
 
 def test_cross_segment_examples():
@@ -130,6 +152,24 @@ def test_ez_cross_simple_crossing():
     assert ez_cross(d1, d2.reversed(), ident) == 1
     assert ez_cross(d1.reversed(), d2, ident) == 1
     assert winding_oracle(d1, d2, ident) == -1
+
+
+def test_ez_cross_mixed_fields_reads_each_point_over_its_field():
+    # seg1 lies on x^2 + y^2 - 3x - 34 = 0 with rational carrying
+    # coefficients; its start has x = sqrt(20), y = 3 + sqrt(5).  t lies on
+    # x^2 + y^2 - 5 sqrt(2) x + C = 0, C = -47/2, a circle of radius 6 over
+    # Q(sqrt 2).  That form is 34 + C + 6 sqrt(5) - 10 sqrt(10) at seg1's
+    # start and 43 + C + 6 sqrt(5) - 15 sqrt(2) - 10 sqrt(10) at its end,
+    # both negative, so seg1 misses t's geodesic, although t runs from
+    # outside seg1's circle to inside it.
+    seg1 = GSegment(HPoint(QuadIrr(0, 1, 20), QuadIrr(3, 1, 5)),
+                    HPoint(QuadIrr(3, 2, 5), QuadIrr(3, -1, 5)))
+    t = GSegment(HPoint(QuadIrr(0, Fraction(5, 2), 2), 6),
+                 HPoint(QuadIrr(Fraction(-18, 5), Fraction(5, 2), 2), Fraction(24, 5)))
+    ident = mat(1, 0, 0, 1)
+    assert carrying_coeffs(seg1) == (-3, 9, 102)
+    assert ez_cross(seg1, t, ident) == 0
+    assert ez_cross(t, seg1, ident) == 0
 
 
 def rand_segment(rng, irrational=False):

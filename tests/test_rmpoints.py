@@ -121,6 +121,12 @@ def test_automorph_matches_oracle_small():
             assert o.gamma in (a.gamma,)
 
 
+def test_automorph_oracle_checks_its_input():
+    # the oracle's own asserts run under python -O too (tests/conftest.py)
+    with pytest.raises(AssertionError):
+        automorph_oracle(GOLDEN, 11, kmax=0, nmax=4)
+
+
 def test_lambda_of():
     pt = RMPoint(GOLDEN)
     assert lambda_of(mat(1, 0, 0, 1), pt) == 1
