@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import Mismatch, PrecisionExhausted
 from .exact import p_free, val_p
@@ -245,36 +244,21 @@ def edge(v: TVertex, w: TVertex, p: int) -> TEdge:
     return TEdge(v, w)
 
 
-@lru_cache(maxsize=16384)
-def _path_to_standard(v: TVertex, p: int) -> tuple[TVertex, ...]:
-    return tuple(tree_path(v, STANDARD, p))
+def next_toward(v: TVertex, a, p: int) -> TVertex:
+    """The neighbor of v on the geodesic from v to the boundary point a.
 
-
-@lru_cache(maxsize=4096)
-def _ray_cached(a, p: int, R: int) -> tuple[TVertex, ...]:
-    return tuple(reduce_point(a, p, R))
-
-
-def next_toward(v: TVertex, a, p: int, depth_hint: int = 32) -> TVertex:
-    """The neighbor of v on the geodesic from v to the boundary point a."""
+    The line from the end at infinity to a runs through (j, a mod p^j) for
+    every j, so v = (k, u) lies on it exactly when a = u mod p^k: then the
+    geodesic steps down to (k + 1, a mod p^(k+1)), otherwise up to
+    (k - 1, u)."""
     if isinstance(a, QpApprox):
         need = tree_distance(v, STANDARD, p) + 2
         if a.abs_prec < need:
             raise PrecisionExhausted("boundary point too coarse for this vertex")
         a = a.value
-    to_std = _path_to_standard(v, p)
-    depth = len(to_std) + 2
-    ray = _ray_cached(a, p, depth)
-    # concatenate v -> v0 -> a and cancel the backtracking at the junction
-    left = list(to_std)
-    right = list(ray)
-    while len(left) >= 2 and len(right) >= 2 and left[-2] == right[1]:
-        left.pop()
-        right.pop(0)
-    walk = left[:-1] + right if left[-1] == right[0] else left + right
-    if walk[0] != v:
-        raise Mismatch("tree walk does not start at the vertex")
-    return walk[1]
+    if a is not INFINITY and (a == v.u or val_p(a - v.u, p) >= v.k):
+        return make_vertex(p, v.k + 1, a)
+    return make_vertex(p, v.k - 1, v.u)
 
 
 def vdp_residue(factors: list[tuple[object, int]], e: TEdge, p: int) -> int:

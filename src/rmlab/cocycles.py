@@ -19,7 +19,7 @@ from .errors import (
     IncompleteSearch,
     NotRM,
 )
-from .exact import QuadIrr, floor_exact, p_free, val_p
+from .exact import QuadIrr, divisors, floor_exact, p_free, val_p
 from .hyperbolic import (
     GSegment,
     HPoint,
@@ -361,14 +361,14 @@ def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
         sq_mm = _sqrt_upper(mm_hi)
         for c in range(-c_max, c_max + 1):
             if c == 0:
-                for a in _divisor_pairs(n):
+                for a in (sign * e for e in divisors(n) for sign in (1, -1)):
                     d = n // a
                     # w = (a z + b)/d: Re w in [x1l, x1h] for some Re z
                     lo = min(d * x1l, d * x1h) - max(a * x2l, a * x2h)
                     hi = max(d * x1l, d * x1h) - min(a * x2l, a * x2h)
                     for b in range(math.floor(lo) - 1, math.ceil(hi) + 2):
                         g = (a, b, 0, d)
-                        _add_label(labels, g, p)
+                        _add_label(labels, g)
                 continue
             cx = sorted([c * x2l, c * x2h])
             d_lo = math.floor(-sq_m - cx[1]) - 1
@@ -382,28 +382,17 @@ def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
                     if num % c:
                         continue
                     b = num // c
-                    _add_label(labels, (a, b, c, d), p)
+                    _add_label(labels, (a, b, c, d))
     return sorted(labels)
 
 
-def _divisor_pairs(n: int):
-    out = []
-    for a in range(1, n + 1):
-        if n % a == 0:
-            out.append(a)
-            out.append(-a)
-    return out
-
-
-def _add_label(labels: set[Label], g: Label, p: int):
+def _add_label(labels: set[Label], g: Label):
     a, b, c, d = g
     if a * d - b * c <= 0:
         return
-    if a % p == 0 and b % p == 0 and c % p == 0 and d % p == 0:
-        return  # counted at a lower p-exponent
     gg = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
     if gg != 1:
-        return  # imprimitive: scalar multiple of a smaller label
+        return  # imprimitive, p-multiples too: a smaller label covers it
     lead = next(v for v in g if v != 0)
     if lead < 0:
         g = (-a, -b, -c, -d)

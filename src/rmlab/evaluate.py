@@ -261,15 +261,22 @@ def antisym_experiment(f1: QForm, f2: QForm, p: int, N: int, levels: int,
                        "factors_b": 0, "note": "no data"}
                 break
             # the product of many factors loses tracked digits; raise the
-            # working precision until the result is honest modulo p^N
-            n_int = N + 8
+            # working precision until the result is honest modulo p^N (a
+            # zero divisor at too low a precision asks for more digits too)
+            n_int, prod = N + 8, None
             for _ in range(12):
-                a_val = value_at(t_omega, tau, p, n_int, D1=D1, D2=D2)
-                b_val = value_at(t_tau, omega, p, n_int, D1=D1, D2=D2)
-                prod = a_val * b_val
+                try:
+                    prod = (value_at(t_omega, tau, p, n_int, D1=D1, D2=D2)
+                            * value_at(t_tau, omega, p, n_int, D1=D1, D2=D2))
+                except NotInvertible as exc:
+                    err = exc
+                    n_int += N
+                    continue
                 if prod.abs_prec >= N:
                     break
                 n_int += N - prod.abs_prec + 4
+            if prod is None:
+                raise err
             defect = _defect_valuation(prod, eps_t, eps_o, radius)
             row = {"level": k, "defect": min(defect, N),
                    "working_precision": n_int,

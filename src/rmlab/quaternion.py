@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch, NonSquareNorm, NotInvertible, NotIsotropic
 from .exact import QuadIrr, frac_is_square, frac_sqrt, quadirr_sqrt
-from .linalg import nullspace
+from .linalg import nullspace  # noqa: F401 - perfbench traces rmlab.linalg.nullspace
 
 
 class QuatAlg:
@@ -233,14 +233,7 @@ class ProjLine:
                 and all(a == b for a, b in zip(self.vec, other.vec)))
 
     def __hash__(self):
-        key = []
-        for c in self.vec:
-            if isinstance(c, QuadIrr):
-                key.append(("q", c.a, c.b) if c.b == 0 else
-                           ("q",) + (lambda d: (d.a, d.b, d.D))(c.canonical()))
-            else:
-                key.append(("r", c))
-        return hash((self.space, tuple(key)))
+        return hash((self.space, self.vec))
 
     def __repr__(self):
         return f"ProjLine({list(self.vec)}, {self.space!r})"
@@ -250,54 +243,24 @@ class ProjLine:
         return ProjLine.from_quat(g * self.quat() * g.inverse(), self.space)
 
 
-def _left_mult_matrix(u: Quat):
-    alg = u.alg
-    basis = [alg.one(), alg.gen_i(), alg.gen_j(), alg.gen_k()]
-    cols = [(u * e).coords() for e in basis]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def _right_mult_matrix(u: Quat):
-    alg = u.alg
-    basis = [alg.one(), alg.gen_i(), alg.gen_j(), alg.gen_k()]
-    cols = [(e * u).coords() for e in basis]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def _field_zero_one(entries):
-    """Uniform (zero, one) pair for mixed Fraction/QuadIrr matrices."""
-    for e in entries:
-        if isinstance(e, QuadIrr):
-            return QuadIrr(0, 0, e.D), QuadIrr(1, 0, e.D)
-    return Fraction(0), Fraction(1)
-
-
-def _promote(rows):
-    flat = [e for r in rows for e in r]
-    zero, one = _field_zero_one(flat)
-    if isinstance(zero, Fraction):
-        return rows
-    return [[e if isinstance(e, QuadIrr) else QuadIrr(e, 0, zero.D) for e in r]
-            for r in rows]
-
-
 def kernel_lines(u: Quat) -> tuple[ProjLine, ProjLine]:
     """(left, right) kernel lines of an isotropic u: spans of ker(l_u)_0
-    and ker(r_u)_0 inside the pure quaternions."""
+    and ker(r_u)_0 inside the pure quaternions.
+
+    As u conj(u) = conj(u) u = nrd(u) = 0, ker(l_u) = conj(u) B and
+    ker(r_u) = B conj(u); with w = trd(conj(u) e) - trd(conj(u)) e the
+    products conj(u) w and w conj(u) have trace zero, and the first of
+    e = i, j, k that makes one nonzero spans that side's line."""
     if u.is_zero():
         raise NotIsotropic("zero vector")
     if u.nrd() != 0:
         raise NotIsotropic("kernel lines exist only for isotropic vectors")
-    zero, one = _field_zero_one(u.coords())
-    trace_row = [one, zero, zero, zero]
-    out = []
-    for mat in (_left_mult_matrix(u), _right_mult_matrix(u)):
-        rows = _promote([r[:] for r in mat] + [trace_row])
-        basis = nullspace(rows)
-        if len(basis) != 1:
-            raise NotIsotropic(f"kernel in B0 has dimension {len(basis)}, not 1")
-        out.append(ProjLine(basis[0], "B0", u.alg))
-    return out[0], out[1]
+    alg, ub = u.alg, u.conj()
+    ws = [alg.one().scale((ub * e).trd()) - e.scale(ub.trd())
+          for e in (alg.gen_i(), alg.gen_j(), alg.gen_k())]
+    left = next(v for v in (ub * w for w in ws) if not v.is_zero())
+    right = next(v for v in (w * ub for w in ws) if not v.is_zero())
+    return ProjLine.from_quat(left, "B0"), ProjLine.from_quat(right, "B0")
 
 
 def quadric_split(line: ProjLine) -> tuple[ProjLine, ProjLine]:
@@ -318,15 +281,9 @@ def quadric_unsplit(u1: ProjLine, u2: ProjLine) -> ProjLine:
         return ProjLine(u1.vec, "B", u1.alg)
     q1, q2 = u1.quat(), u2.quat()
     alg = q1.alg
-    # alpha spans the orthogonal complement of u1 + u2 inside B0
-    basis = [alg.gen_i(), alg.gen_j(), alg.gen_k()]
-    rows = [[bilinear(e, q1) for e in basis],
-            [bilinear(e, q2) for e in basis]]
-    ker = nullspace(_promote(rows))
-    if len(ker) != 1:
-        raise NotIsotropic("lines are orthogonal; no valid preimage")
-    cx, cy, cz = ker[0]
-    alpha = Quat(0, cx, cy, cz, alg)
+    # the commutator of two independent pure quaternions is pure and
+    # orthogonal to both: it spans the complement of u1 + u2 inside B0
+    alpha = q1 * q2 - q2 * q1
     sq = -alpha.nrd()  # alpha^2
     if isinstance(sq, QuadIrr):
         try:

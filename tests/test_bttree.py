@@ -84,6 +84,19 @@ def test_tree_path_matches_ball_bfs():
                 assert all(b in adj[a] for a, b in zip(path, path[1:]))
 
 
+def test_next_toward_is_first_step_of_path_to_deep_ray_vertex():
+    # the geodesic from v toward a ends in the line (j, a mod p^j), j -> oo;
+    # its vertex two levels below v lies beyond the junction with that line
+    for p, radius in ((2, 4), (3, 3), (5, 2)):
+        points = [Fraction(n, d) for n in range(-8, 9) for d in (1, 2, 3, 5, p ** 3)]
+        for v in CochainPatch.ball_vertices(p, radius):
+            for a in points:
+                deep = make_vertex(p, v.k + 2, a)
+                assert next_toward(v, a, p) == tree_path(v, deep, p)[1]
+            up = make_vertex(p, v.k - 2, v.u)
+            assert next_toward(v, INFINITY, p) == tree_path(v, up, p)[1]
+
+
 def test_reduce_point_standard_ends():
     for p in (2, 3, 5):
         ray = reduce_point(INFINITY, p, 4)

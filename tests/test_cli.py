@@ -149,6 +149,18 @@ def test_python_m_rmlab_runs_the_cli():
     assert json.loads(res.stdout)["gamma"] == [["2", "1"], ["1", "1"]]
 
 
+def test_antisym_same_2adic_field_exits_0(capsys):
+    # both discriminants give the same 2-adic quadratic field, so the tower
+    # Q2[x, y]/(x^2 - D1, y^2 - D2) has zero divisors; the precision loop
+    # raises the working precision past them
+    for f1, f2 in (("1,0,-2", "1,0,-3"), ("1,1,-1", "1,1,-3")):
+        code, out = capture(capsys, ["antisym", "--f1", f1, "--f2", f2,
+                                     "--p", "2", "--levels", "1"])
+        assert code == 0, (f1, f2)
+        steps = json.loads(out)["antisym"]["steps"]
+        assert [(s["level"], s["defect"]) for s in steps] == [(1, 6)]
+
+
 def test_antisym_disc_ratio_p_squared_exits_0(capsys):
     # discs 5 and 20 = 5 * 2^2: value_at asks one orbit query per factor,
     # most of them answered no

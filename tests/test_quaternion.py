@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from rmlab.quaternion import (
     quadric_split,
     quadric_unsplit,
 )
+from tests_helpers_brute import kernel_lines_nullspace, mult_matrix
 
 
 def rand_quat(rng, alg=SPLIT, span=9):
@@ -122,12 +124,12 @@ def test_kernel_lines_matrix_unit():
 
 
 def rand_isotropic(rng, field=None):
-    """Random rank-one 2x2 matrix, optionally over Q(sqrt 5)."""
+    """Random rank-one 2x2 matrix, optionally over Q(sqrt field)."""
     while True:
         if field is None:
             xs = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         else:
-            xs = [QuadIrr(rng.randint(-3, 3), rng.randint(-3, 3), 5) for _ in range(4)]
+            xs = [QuadIrr(rng.randint(-3, 3), rng.randint(-3, 3), field) for _ in range(4)]
         x0, x1, y0, y1 = xs
         m = [[x0 * y0, x0 * y1], [x1 * y0, x1 * y1]]
         u = Quat.from_matrix(m)
@@ -169,8 +171,7 @@ def test_subspace_decompositions():
         kl = [lv.coords(), u.conj().coords()]
         assert rank_of(kl) == 2
         # every kernel vector of l_u lies in that span: l_u has rank 2
-        from rmlab.quaternion import _left_mult_matrix
-        assert rank_of(_left_mult_matrix(u)) == 2
+        assert rank_of(mult_matrix(u, "left")) == 2
         for v in kl:
             assert (u * Quat(*v)).is_zero()
         # Span(1,u)-perp: vectors w with bilinear(w,1)=bilinear(w,u)=0
@@ -243,3 +244,54 @@ def test_unsplit_inverse_of_split_on_pairs():
         line = quadric_unsplit(l1, l2)
         assert quadric_split(line) == (l1, l2)
         done += 1
+
+
+def oracle_families():
+    """Random isotropic vectors of the split model over Q, Q(sqrt 5) and
+    Q(sqrt 8), and every nonzero isotropic vector with coordinates in
+    [-2, 2] of five other algebras ((3, 3) is a division algebra and has
+    none)."""
+    rng = random.Random(19)
+    vecs = [rand_isotropic(rng, field) for field in (None, 5, 8) for _ in range(25)]
+    for a, b in [(2, 2), (1, 4), (-1, 1), (3, 3), (5, -5)]:
+        alg = QuatAlg(a, b)
+        for c in itertools.product(range(-2, 3), repeat=4):
+            u = Quat(*c, alg)
+            if not u.is_zero() and u.nrd() == 0:
+                vecs.append(u)
+    return vecs
+
+
+def test_closed_forms_match_nullspace_oracle():
+    splits = {}
+    for u in oracle_families():
+        expect = kernel_lines_nullspace(u)
+        assert repr(kernel_lines(u)) == repr(expect)
+        line = ProjLine.from_quat(u, "B")
+        pair = quadric_split(line)
+        assert repr(pair) == repr(expect[::-1])
+        assert repr(quadric_unsplit(*pair)) == repr(line)
+        splits.setdefault((u.alg, getattr(u.t, "D", None)), []).append(pair)
+    # unsplit of the right line of one vector with the left line of another:
+    # the oracle splits the result back into the same two lines
+    rng = random.Random(20)
+    assert len(splits) == 7
+    for group in splits.values():
+        for _ in range(10):
+            (l1, _), (_, l2) = rng.choice(group), rng.choice(group)
+            line = quadric_unsplit(l1, l2)
+            assert kernel_lines_nullspace(line.quat()) == (l2, l1)
+    for alg in (SPLIT, QuatAlg(3, 3), QuatAlg(5, -5)):
+        for u in (alg.one(), alg.quat(0, 0, 0, 0)):
+            with pytest.raises(NotIsotropic):
+                kernel_lines(u)
+
+
+def test_projline_hash_agrees_with_equality():
+    irr = ProjLine([QuadIrr(1, 0, 5), QuadIrr(2, 0, 5), 0, 0], "B")
+    rat = ProjLine([1, 2, 0, 0], "B")
+    assert irr == rat and hash(irr) == hash(rat)
+    assert len({irr, rat}) == 1
+    root = ProjLine([1, QuadIrr(0, 1, 20), 0, 0], "B")
+    assert root == ProjLine([1, QuadIrr(0, 2, 5), 0, 0], "B")
+    assert hash(root) == hash(ProjLine([1, QuadIrr(0, 2, 5), 0, 0], "B"))

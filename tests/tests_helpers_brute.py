@@ -15,6 +15,7 @@ from rmlab.errors import MixedDiscriminant
 from rmlab.exact import QuadIrr, p_free, quad_sign
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
 from rmlab.hyperbolic import OrientedGeodesic, cross_segment
+from rmlab.linalg import nullspace
 from rmlab.mat2 import (
     from_ints,
     mat,
@@ -24,6 +25,7 @@ from rmlab.mat2 import (
     moebius_quadirr,
     sl2zp_generators,
 )
+from rmlab.quaternion import ProjLine, Quat
 from rmlab.rmpoints import Automorph, QForm, is_rm_for, orbit_equivalent
 
 
@@ -182,3 +184,33 @@ def km_hecke_route(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor
             w = canonical_label(mat_mul(ainv, from_ints(v)))
             out[w] = out.get(w, 0) + m
     return RQDivisor(out).restrict_p_exponent(p, radius)
+
+
+def mult_matrix(u: Quat, side: str):
+    """Matrix of v -> u v (side "left") or v -> v u (side "right") on the
+    basis (1, i, j, ij)."""
+    alg = u.alg
+    basis = [alg.one(), alg.gen_i(), alg.gen_j(), alg.gen_k()]
+    cols = [(u * e if side == "left" else e * u).coords() for e in basis]
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+def _over(e, D):
+    """e as an entry over Q (D None) or Q(sqrt D)."""
+    if isinstance(e, QuadIrr):
+        return e
+    return Fraction(e) if D is None else QuadIrr(e, 0, D)
+
+
+def kernel_lines_nullspace(u: Quat):
+    """(left, right) kernel lines of an isotropic u from the nullspaces of
+    its multiplication matrices with the trace row appended, over the
+    field of u's first irrational coordinate."""
+    D = next((c.D for c in u.coords() if isinstance(c, QuadIrr)), None)
+    out = []
+    for side in ("left", "right"):
+        rows = mult_matrix(u, side) + [[1, 0, 0, 0]]
+        basis = nullspace([[_over(e, D) for e in r] for r in rows])
+        assert len(basis) == 1, f"kernel in B0 has dimension {len(basis)}"
+        out.append(ProjLine(basis[0], "B0", u.alg))
+    return out[0], out[1]
