@@ -238,12 +238,6 @@ class TEdge:
         return TEdge(self.target, self.source)
 
 
-def edge(v: TVertex, w: TVertex, p: int) -> TEdge:
-    if tree_distance(v, w, p) != 1:
-        raise ValueError("vertices are not adjacent")
-    return TEdge(v, w)
-
-
 def next_toward(v: TVertex, a, p: int) -> TVertex:
     """The neighbor of v on the geodesic from v to the boundary point a.
 

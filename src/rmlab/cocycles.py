@@ -23,9 +23,7 @@ from .exact import QuadIrr, divisors, floor_exact, p_free, val_p
 from .hyperbolic import (
     GSegment,
     HPoint,
-    OrientedGeodesic,
     carrying_coeffs,
-    cross_segment,
     enumerate_crossing_orbit,
     ez_cross,
     moebius_point,
@@ -35,8 +33,6 @@ from .mat2 import (
     IDENT,
     Mat,
     from_ints,
-    mat,
-    mat_det,
     mat_inv,
     mat_mul,
     p_exponent,
@@ -421,9 +417,12 @@ def d1_value(chain: ChainSquare, p: int, radius: int) -> RQDivisor:
 # the chain identity behind the two-variable / one-variable comparison
 
 
+# half-width of the scan for the first nonzero term of an inner sum
+_SCAN_CAP = 64
+
+
 def theorem_b_chain_check(delta: GSegment, n0: int, n1: int, base: QForm,
-                          p: int, levels: int, t_y: Fraction = Fraction(1, 2),
-                          scan_cap: int = 64) -> dict:
+                          p: int, levels: int) -> dict:
     """Exact comparison, per RM point of the level window, of
 
         LHS(tau) = 2 * sum_n  [square of delta and the automorph step
@@ -443,11 +442,11 @@ def theorem_b_chain_check(delta: GSegment, n0: int, n1: int, base: QForm,
         "base": base.triple(), "p": p, "levels": levels,
         "n0": n0, "n1": n1, "points": [], "all_ok": True,
     }
-    for ty in (t_y, t_y + Fraction(1, 97), t_y + Fraction(2, 101),
-               t_y - Fraction(1, 89), t_y + Fraction(3, 103)):
+    half = Fraction(1, 2)  # base point y0 = point_on_geodesic(base, ty)
+    for ty in (half, half + Fraction(1, 97), half + Fraction(2, 101),
+               half - Fraction(1, 89), half + Fraction(3, 103)):
         try:
-            points = _theorem_b_points(delta, n0, n1, base, aut, support,
-                                       p, ty, scan_cap)
+            points = _theorem_b_points(delta, n0, n1, base, aut, support, p, ty)
         except DegenerateConfiguration:
             continue
         report["points"] = points
@@ -474,7 +473,7 @@ def _gamma_powers(gamma: Mat, lo: int, hi: int) -> dict[int, Mat]:
 
 
 def _scan_inner_sum(delta: GSegment, seg: GSegment, beta: Mat,
-                    powers: dict[int, Mat], scan_cap: int) -> int:
+                    powers: dict[int, Mat]) -> int:
     """Sum over n of the pairing against beta gamma^n.
 
     The nonzero terms form one contiguous block (the translated segments
@@ -491,7 +490,7 @@ def _scan_inner_sum(delta: GSegment, seg: GSegment, beta: Mat,
         return cache[n]
 
     center = None
-    for i in range(scan_cap + 1):
+    for i in range(_SCAN_CAP + 1):
         for n in ({i, -i}):
             if val(n) != 0:
                 center = n
@@ -522,11 +521,11 @@ def _scan_inner_sum(delta: GSegment, seg: GSegment, beta: Mat,
     return sum(val(n) for n in range(lo, hi + 1))
 
 
-def _theorem_b_points(delta, n0, n1, base, aut, support, p, ty, scan_cap):
+def _theorem_b_points(delta, n0, n1, base, aut, support, p, ty):
     y0 = point_on_geodesic(base, ty)
     points = []
-    lo = min(n0, n1, 0) - scan_cap - 1
-    hi = max(n0, n1, 0) + scan_cap + 1
+    lo = min(n0, n1, 0) - _SCAN_CAP - 1
+    hi = max(n0, n1, 0) + _SCAN_CAP + 1
     powers = _gamma_powers(aut.gamma, lo, hi)
     if n0 != n1:
         seg_full = GSegment(moebius_point(powers[n0], y0),
@@ -537,13 +536,13 @@ def _theorem_b_points(delta, n0, n1, base, aut, support, p, ty, scan_cap):
         seg_unit = GSegment(y0, moebius_point(powers[1], y0))
     for f, cross in support:
         beta = orbit_conjugator(base, f, p)
-        inner_unit = _scan_inner_sum(delta, seg_unit, beta, powers, scan_cap)
+        inner_unit = _scan_inner_sum(delta, seg_unit, beta, powers)
         if seg_full is None:
             inner = 0
         elif (n0, n1) == (0, 1):
             inner = inner_unit
         else:
-            inner = _scan_inner_sum(delta, seg_full, beta, powers, scan_cap)
+            inner = _scan_inner_sum(delta, seg_full, beta, powers)
         lhs = 2 * inner
         rhs = -2 * (n1 - n0) * cross
         points.append({

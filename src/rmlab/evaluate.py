@@ -50,12 +50,13 @@ def _mat_key(g: Mat):
 
 
 class CocycleTable:
-    """A 1-cochain materialized on finitely many group elements."""
+    """A 1-cochain materialized on finitely many group elements, keyed by
+    a 2x2 matrix or its four entries in row order."""
 
     def __init__(self, entries: dict | None = None):
         self.entries: dict = {}
         for g, factors in (entries or {}).items():
-            key = _mat_key(g) if not isinstance(g, tuple) else g
+            key = _mat_key(g) if len(g) == 2 else g
             self.entries[key] = list(factors)
 
     def factors_for(self, g: Mat) -> list[RigidFactor]:
@@ -131,7 +132,7 @@ def trivial_cocycle_value(tau: RMPoint | QForm, p: int, N: int) -> PTower:
                   p, N, D1, 0)
 
 
-def pair_value(j2, tau: QForm, omega: QForm, p: int, N: int) -> PTower:
+def pair_value(j2, tau: QForm, omega: QForm, p: int) -> PTower:
     """Cap of the 2-cochain with the product of the fundamental cycles:
     j2(a, b) / j2(b, a) for a = (gamma_tau, 1), b = (1, gamma_omega)."""
     if orbit_equivalent(tau, omega, p):
@@ -143,7 +144,7 @@ def pair_value(j2, tau: QForm, omega: QForm, p: int, N: int) -> PTower:
     return j2(a, b) / j2(b, a)
 
 
-def cross_cochain_eta(i_value_fn, omega: QForm, p: int, N: int):
+def cross_cochain_eta(i_value_fn, omega: QForm, p: int):
     """The evaluated cross-product of a 1-cochain on the first factor with
     the fundamental 1-class of the stabilizer of omega on the second.
 
@@ -181,7 +182,7 @@ def cross_cochain_eta(i_value_fn, omega: QForm, p: int, N: int):
     return j2
 
 
-def cross_cochain_kappa(j_value_fn, omega: QForm, p: int, N: int):
+def cross_cochain_kappa(j_value_fn):
     """Cross-product of a 2-cochain on the first factor with the degree-zero
     class of the second: ((g1, h1), (g2, h2)) -> J(g1, g2)."""
 

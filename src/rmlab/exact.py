@@ -177,12 +177,6 @@ class QuadIrr:
     def __setattr__(self, *args):
         raise AttributeError("QuadIrr is immutable")
 
-    # -- construction helpers
-
-    @staticmethod
-    def rational(a, D: int = 5) -> "QuadIrr":
-        return QuadIrr(a, 0, D)
-
     def canonical(self) -> "QuadIrr":
         """Extract the square part of D: a + b*sqrt(m^2*c) -> a + bm*sqrt(c)."""
         core, m = square_core(self.D)
@@ -248,9 +242,6 @@ class QuadIrr:
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.D
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
 
     def inverse(self) -> "QuadIrr":
         n = self.norm()

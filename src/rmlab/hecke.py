@@ -26,7 +26,6 @@ from .errors import Mismatch
 from .exact import divisors, p_free, sigma1, val_p, xgcd
 from .hyperbolic import GSegment, ez_cross  # noqa: F401 - perfbench rebinds hecke.ez_cross
 from .mat2 import (
-    IDENT,
     Mat,
     mat,
     mat_det,
@@ -289,9 +288,8 @@ def hecke_mul(s: HeckeElt, t: HeckeElt) -> HeckeElt:
             counter: dict = {}
             for a in alphas:
                 for b in betas:
-                    ab = mat_mul(a, b)
-                    counter[right_coset_key(ab, p)] = \
-                        counter.get(right_coset_key(ab, p), 0) + 1
+                    k = right_coset_key(mat_mul(a, b), p)
+                    counter[k] = counter.get(k, 0) + 1
             # group by double coset and check constancy
             by_label: dict = {}
             for k, cnt in counter.items():

@@ -7,8 +7,9 @@ with u, v, e in one real quadratic field.
 
 Sign conventions, frozen once for the whole package:
 
-* side(g, z) is the sign of A(x^2+y^2) + Bx + C.
-* cross_segment(seg, g) = (side(g, end) - side(g, start)) / 2.
+* side(f, z) is the sign of A(x^2+y^2) + Bx + C for the form f = (A, B, C);
+  the geodesic of f is oriented from its conjugate root to its root.
+* cross_segment(seg, f) = (side(f, end) - side(f, start)) / 2.
 * ez_cross(s1, s2, g) is the sign of det(dir s1, dir g.s2) at the unique
   transversal crossing; equivalently minus the counterclockwise winding
   of the boundary difference loop of the product square.  This choice
@@ -68,9 +69,10 @@ class HPoint:
 
     D is the point's field Q(sqrt D), fixed when the point is built: None
     when both coordinates are rational, otherwise both coordinates are
-    QuadIrr values over this one D."""
+    QuadIrr values over this one D.  n = x^2 + y^2, the squared modulus,
+    is computed once here and read by every predicate."""
 
-    __slots__ = ("x", "y", "D")
+    __slots__ = ("x", "y", "D", "n")
 
     def __init__(self, x, y):
         if not isinstance(x, QuadIrr):
@@ -85,6 +87,7 @@ class HPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "D", D)
+        object.__setattr__(self, "n", x * x + y * y)
 
     def __setattr__(self, *args):
         raise AttributeError("HPoint is immutable")
@@ -106,10 +109,10 @@ def moebius_point(g: Mat, z: HPoint) -> HPoint:
         raise ValueError("need positive determinant")
     a, b = g[0]
     c, d = g[1]
-    x, y = z.x, z.y
-    den = (x * c + d) * (x * c + d) + y * y * c * c
-    num_x = (x * a + b) * (x * c + d) + y * y * a * c
-    return HPoint(num_x / den, y * det / den)
+    x, n = z.x, z.n
+    den = n * (c * c) + x * (2 * c * d) + d * d
+    num_x = n * (a * c) + x * (a * d + b * c) + b * d
+    return HPoint(num_x / den, z.y * det / den)
 
 
 class GSegment:
@@ -142,36 +145,17 @@ class GSegment:
         return f"GSegment({self.z0}, {self.z1})"
 
 
-class OrientedGeodesic:
-    """Full geodesic of a form, oriented from the conjugate root to the root."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form: QForm):
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, *args):
-        raise AttributeError("OrientedGeodesic is immutable")
-
-    def apex(self) -> HPoint:
-        A, B = self.form.A, self.form.B
-        return HPoint(Fraction(-B, 2 * A),
-                      QuadIrr(0, Fraction(1, 2 * abs(A)), self.form.disc))
-
-    def __repr__(self):
-        return f"OrientedGeodesic({self.form!r})"
-
-
 def point_on_geodesic(form: QForm, t: Fraction) -> HPoint:
     """The point at Moebius parameter t > 0 on the geodesic of the form,
-    travelling from the conjugate root (t -> 0) to the root (t -> oo)."""
+    travelling from the conjugate root (t -> 0) to the root (t -> oo);
+    t = 1 is the apex."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("parameter must be positive")
     w, wc = form.root(), form.conj_root()
     den = 1 + t * t
     x = (w * (t * t) + wc) / den
-    y = (w - wc) * (t / den)
+    y = QuadIrr(0, Fraction(1, abs(form.A)), form.disc) * (t / den)  # |w - w'|
     return HPoint(x, y)
 
 
@@ -183,29 +167,26 @@ def _form_value_sign(coeffs, E: int | None, z: HPoint) -> int:
     """Exact sign of A(x^2+y^2) + Bx + C for coefficients in Q(sqrt E) and
     a point over its own field."""
     A, B, C = coeffs
-    D = z.D
-    x, y = z.x, z.y
+    D, x, n = z.D, z.x, z.n
     if E is None or D is None or E == D or square_core(E)[0] == square_core(D)[0]:
-        return quad_sign(A * (x * x + y * y) + B * x + C)
+        return quad_sign(A * n + B * x + C)
     # genuinely mixed tower: write the value as u + v sqrt(D) over Q(sqrt E)
-    s = x * x + y * y
-    u = A * s.a + B * x.a + C
-    v = A * s.b + B * x.b
+    u = A * n.a + B * x.a + C
+    v = A * n.b + B * x.b
     return sign_plus_root(u, v, D)
 
 
-def side(g: OrientedGeodesic, z: HPoint) -> int:
-    """Which component of the complement the point lies in (0 = on it)."""
-    f = g.form
-    x, y = z.x, z.y
-    return quad_sign(f.A * (x * x + y * y) + f.B * x + f.C)
+def side(f: QForm, z: HPoint) -> int:
+    """Which component of the complement of the form's geodesic the point
+    lies in (0 = on it)."""
+    return quad_sign(f.A * z.n + f.B * z.x + f.C)
 
 
-def cross_segment(seg: GSegment, g: OrientedGeodesic) -> int:
+def cross_segment(seg: GSegment, f: QForm) -> int:
     """Signed transversal crossing count of the segment with the full
-    geodesic: (side(end) - side(start)) / 2."""
-    s0 = side(g, seg.z0)
-    s1 = side(g, seg.z1)
+    geodesic of the form: (side(end) - side(start)) / 2."""
+    s0 = side(f, seg.z0)
+    s1 = side(f, seg.z1)
     if s0 == 0 or s1 == 0:
         raise DegenerateEndpoint("segment endpoint on the geodesic")
     return (s1 - s0) // 2
@@ -216,8 +197,7 @@ def cross_segment(seg: GSegment, g: OrientedGeodesic) -> int:
 
 def carrying_coeffs(seg: GSegment):
     z0, z1 = seg.z0, seg.z1
-    n0 = z0.x * z0.x + z0.y * z0.y
-    n1 = z1.x * z1.x + z1.y * z1.y
+    n0, n1 = z0.n, z1.n
     A = z0.x - z1.x
     B = n1 - n0
     C = n0 * z1.x - n1 * z0.x
@@ -233,9 +213,9 @@ def _tangent_at(coeffs, z: HPoint):
     return (2 * A * z.y, -(2 * A * z.x + B))
 
 
-def _travel_sign(seg: GSegment) -> int:
-    """Sign s such that s * tangent points from z0 toward z1 along the arc."""
-    coeffs = carrying_coeffs(seg)
+def _travel_sign(seg: GSegment, coeffs) -> int:
+    """Sign s such that s * tangent points from z0 toward z1 along the arc
+    carried by coeffs = carrying_coeffs(seg)."""
     tx, ty = _tangent_at(coeffs, seg.z0)
     dx = seg.z1.x - seg.z0.x
     dy = seg.z1.y - seg.z0.y
@@ -291,7 +271,7 @@ def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     sw = quad_sign(w)
     if sw == 0:  # concentric circles or parallel verticals cannot cross
         raise DegenerateConfiguration("tangent configuration")
-    return _travel_sign(seg1) * _travel_sign(t) * sw
+    return _travel_sign(seg1, cs) * _travel_sign(t, ct) * sw
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +401,14 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
     return out
 
 
-def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat, samples: int = 64) -> int:
+def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     """Winding-number engine for the same class as ez_cross, computed by
     exact signed ray-crossing counts over the boundary difference loop.
 
     Independent of the local-determinant predicate; shares only the global
     orientation convention (the returned value is minus the raw
-    counterclockwise winding).  samples bounds the ray re-draws used to
-    escape degenerate ray choices."""
+    counterclockwise winding).  Degenerate ray choices are escaped by
+    re-drawing the ray over a fixed list of 16 slopes."""
     if mat_det(g) <= 0:
         raise ValueError("need positive determinant")
     t = seg2.transported(g)
@@ -447,11 +427,7 @@ def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat, samples: int = 64) ->
     slopes = [Fraction(0)] + [Fraction(1, pr) for pr in (97, 89, 101, 83, 103, 79)] \
         + [Fraction(-1, pr) for pr in (97, 89, 101, 83, 103, 79)] \
         + [Fraction(2, pr) for pr in (97, 89, 101)]
-    tried = 0
     for q in slopes:
-        if tried >= samples:
-            break
-        tried += 1
         total = 0
         ok = True
         for piece in pieces:
@@ -496,21 +472,19 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
         vals = sorted([2 * A * x_lo, 2 * A * x_hi])
         b_lo = floor_exact(-s - vals[1]) - 1
         b_hi = floor_exact(s - vals[0]) + 2
-        for B in range(b_lo, b_hi + 1):
+        # 4A | B^2 - d forces B = d mod 2
+        for B in range(b_lo + (b_lo - d) % 2, b_hi + 1, 2):
             num = B * B - d
             if num % (4 * A) != 0:
                 continue
             C = num // (4 * A)
-            if math.gcd(math.gcd(abs(A), abs(B)), abs(C)) != 1:
+            if math.gcd(A, B, C) != 1:
                 continue
-            try:
-                f = QForm(A, B, C)
-            except ValueError:
-                continue
+            # A != 0, primitive, B^2 - 4AC = d a positive non-square: a form
+            f = QForm(A, B, C)
             # cheap rejection first: most candidates miss the segment
-            geo = OrientedGeodesic(f)
-            s0 = side(geo, seg.z0)
-            s1 = side(geo, seg.z1)
+            s0 = side(f, seg.z0)
+            s1 = side(f, seg.z1)
             if s0 != 0 and s0 == s1:
                 continue
             # only orbit members matter, including for degeneracy

@@ -79,6 +79,15 @@ def test_theorem_b_subcommand(capsys):
     assert all(pt["ok"] for pt in rep["theorem_b"]["points"])
 
 
+def test_theorem_b_negative_leading_coefficient_exits_0(capsys):
+    # (-1, 1, 1) is RM at p = 2; its base point must lie above the real axis
+    code, out = capture(capsys, [
+        "theorem-b", "--form=-1,1,1", "--p", "2", "--n0", "0", "--n1", "2"])
+    assert code == 0
+    rep = json.loads(out)["theorem_b"]
+    assert rep["base"] == [-1, 1, 1] and rep["all_ok"] is True
+
+
 def test_hecke_cosets_subcommand(capsys):
     code, out = capture(capsys, ["hecke-cosets", "--n", "2", "--p", "3"])
     assert code == 0

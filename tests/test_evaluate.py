@@ -73,6 +73,18 @@ def test_value_at_single_factor_matches_direct():
     assert v.eq_at_precision(expect)
 
 
+def test_cocycle_table_accepts_matrix_keys():
+    # a 2x2 matrix key is flattened like the four-entry key, not stored as is
+    g = automorph(GOLDEN, 3).gamma
+    by_matrix = CocycleTable({g: [RigidFactor(SQRT2, 2)]})
+    by_entries = CocycleTable({tuple(e for row in g for e in row): [RigidFactor(SQRT2, 2)]})
+    assert by_matrix.entries == by_entries.entries
+    assert by_matrix.factors_for(g) == [RigidFactor(SQRT2, 2)]
+    v = value_at(by_matrix, GOLDEN, 3, 10, D1=5, D2=8)
+    assert v.eq_at_precision(value_at(by_entries, GOLDEN, 3, 10, D1=5, D2=8))
+    assert not v.eq_at_precision(PTower.one(3, 10, 5, 8))
+
+
 def test_value_at_multiplicative():
     g = automorph(GOLDEN, 3).gamma
     key = tuple(e for row in g for e in row)
@@ -99,9 +111,9 @@ def test_pair_value_constant_cochain():
     def j2(x, y):
         return one
 
-    assert pair_value(j2, GOLDEN, SQRT2, 3, 10).eq_at_precision(one)
+    assert pair_value(j2, GOLDEN, SQRT2, 3).eq_at_precision(one)
     with pytest.raises(SameOrbit):
-        pair_value(j2, GOLDEN, GOLDEN, 3, 10)
+        pair_value(j2, GOLDEN, GOLDEN, 3)
 
 
 def test_pair_value_eta_cross_product():
@@ -111,8 +123,8 @@ def test_pair_value_eta_cross_product():
     key = tuple(e for row in g_tau for e in row)
     table = CocycleTable({key: [RigidFactor(SQRT2, 1)]})
     fn = table_value_fn(table, GOLDEN.root(), p, N, 5, 8)
-    j2 = cross_cochain_eta(fn, SQRT2, p, N)
-    got = pair_value(j2, GOLDEN, SQRT2, p, N)
+    j2 = cross_cochain_eta(fn, SQRT2, p)
+    got = pair_value(j2, GOLDEN, SQRT2, p)
     expect = value_at(table, GOLDEN, p, N, D1=5, D2=8).inverse()
     assert got.eq_at_precision(expect)
 
@@ -128,8 +140,8 @@ def test_pair_value_kappa_cross_product():
             return PTower.one(p, N, 5, 8)
         return base
 
-    j2 = cross_cochain_kappa(j_first, SQRT2, p, N)
-    got = pair_value(j2, GOLDEN, SQRT2, p, N)
+    j2 = cross_cochain_kappa(j_first)
+    got = pair_value(j2, GOLDEN, SQRT2, p)
     assert got.eq_at_precision(PTower.one(p, N, 5, 8))
 
 
@@ -150,8 +162,8 @@ def test_pair_value_sigma_antisymmetry_shadow():
         sy = (y[1], y[0])
         return f_raw(x, y) * f_raw(sx, sy)
 
-    ab = pair_value(j_sym, GOLDEN, SQRT2, p, N)
-    ba = pair_value(j_sym, SQRT2, GOLDEN, p, N)
+    ab = pair_value(j_sym, GOLDEN, SQRT2, p)
+    ba = pair_value(j_sym, SQRT2, GOLDEN, p)
     assert (ab * ba).eq_at_precision(PTower.one(p, N, 5, 8))
 
 

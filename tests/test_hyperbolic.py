@@ -9,7 +9,6 @@ from rmlab.exact import QuadIrr, floor_exact
 from rmlab.hyperbolic import (
     GSegment,
     HPoint,
-    OrientedGeodesic,
     _seg_box,
     carrying_coeffs,
     cross_segment,
@@ -24,7 +23,7 @@ from rmlab.mat2 import mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm, automorph, form_apply, orbit_equivalent
 
 GOLDEN = QForm(1, -1, -1)
-GEO = OrientedGeodesic(GOLDEN)
+APEX = point_on_geodesic(GOLDEN, 1)
 
 
 def seg(x0, y0, x1, y1):
@@ -33,11 +32,11 @@ def seg(x0, y0, x1, y1):
 
 def test_side_examples():
     z = HPoint(0, 2)
-    assert side(GEO, z) == 1  # 4 + 0 - 1 = 3
-    assert side(GEO, GEO.apex()) == 0
+    assert side(GOLDEN, z) == 1  # 4 + 0 - 1 = 3
+    assert side(GOLDEN, APEX) == 0
     zin = HPoint(Fraction(3, 10), Fraction(1, 10))
-    assert side(GEO, zin) == -1
-    neg = OrientedGeodesic(-GOLDEN)
+    assert side(GOLDEN, zin) == -1
+    neg = -GOLDEN
     assert side(neg, z) == -1
     assert side(neg, zin) == 1
 
@@ -66,12 +65,12 @@ def test_point_hash_agrees_with_equality():
 
 def test_cross_segment_examples():
     s_same = seg(0, 2, 1, 3)
-    assert cross_segment(s_same, GEO) == 0
+    assert cross_segment(s_same, GOLDEN) == 0
     s = GSegment(HPoint(0, 2), HPoint(Fraction(3, 10), Fraction(1, 10)))
-    assert cross_segment(s, GEO) == -1
-    assert cross_segment(s.reversed(), GEO) == 1
+    assert cross_segment(s, GOLDEN) == -1
+    assert cross_segment(s.reversed(), GOLDEN) == 1
     with pytest.raises(DegenerateEndpoint):
-        cross_segment(GSegment(GEO.apex(), HPoint(0, 2)), GEO)
+        cross_segment(GSegment(APEX, HPoint(0, 2)), GOLDEN)
 
 
 def test_cross_segment_additive():
@@ -80,22 +79,27 @@ def test_cross_segment_additive():
         pts = [HPoint(Fraction(rng.randint(-40, 40), 10),
                       Fraction(rng.randint(1, 40), 10)) for _ in range(3)]
         try:
-            c01 = cross_segment(GSegment(pts[0], pts[1]), GEO)
-            c12 = cross_segment(GSegment(pts[1], pts[2]), GEO)
-            c02 = cross_segment(GSegment(pts[0], pts[2]), GEO)
+            c01 = cross_segment(GSegment(pts[0], pts[1]), GOLDEN)
+            c12 = cross_segment(GSegment(pts[1], pts[2]), GOLDEN)
+            c02 = cross_segment(GSegment(pts[0], pts[2]), GOLDEN)
         except (DegenerateEndpoint, ValueError):
             continue
         assert c01 + c12 == c02
 
 
 def test_point_on_geodesic_identity():
-    # (2Ax + B)^2 + (2Ay)^2 = disc holds exactly on the geodesic
-    for f in (GOLDEN, QForm(1, 0, -2), QForm(3, 2, -4)):
+    # (2Ax + B)^2 + (2Ay)^2 = disc holds exactly on the geodesic, for either
+    # sign of A; t = 1 is the apex (-B/2A, sqrt(disc)/2|A|)
+    for f in (GOLDEN, QForm(1, 0, -2), QForm(3, 2, -4), QForm(-1, 1, 1),
+              QForm(-3, 2, 4)):
         for t in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
             z = point_on_geodesic(f, t)
             lhs = (2 * f.A * z.x + f.B) ** 2 + (2 * f.A * z.y) ** 2
             assert lhs == f.disc
-            assert side(OrientedGeodesic(f), z) == 0
+            assert side(f, z) == 0
+        apex = point_on_geodesic(f, 1)
+        assert apex.x == Fraction(-f.B, 2 * f.A)
+        assert apex.y == QuadIrr(0, Fraction(1, 2 * abs(f.A)), f.disc)
 
 
 def test_moebius_point():
@@ -125,7 +129,7 @@ def test_ez_cross_reference_orientation():
     # frozen global orientation: the EZ square of an upward segment crossing
     # the geodesic (cross = +1) against the forward automorph step pairs to -1
     d1, d2 = reference_config()
-    assert cross_segment(d1, GEO) == 1
+    assert cross_segment(d1, GOLDEN) == 1
     assert ez_cross(d1, d2, mat(1, 0, 0, 1)) == -1
     assert winding_oracle(d1, d2, mat(1, 0, 0, 1)) == -1
 
@@ -254,7 +258,7 @@ def brute_force_crossings(segment, base, p, levels):
                 f = QForm(A, B, C)
                 if not orbit_equivalent(f, base, p):
                     continue
-                sgn = cross_segment(segment, OrientedGeodesic(f))
+                sgn = cross_segment(segment, f)
                 if sgn:
                     out.append((f, sgn))
     return sorted(out, key=lambda fs: fs[0].triple())

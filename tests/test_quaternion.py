@@ -227,16 +227,24 @@ def test_quadric_equivariance():
         assert m2 == s2.conjugated_by(g2)
 
 
+def rand_pure_isotropic(rng):
+    """Random trace-zero rank-one 2x2 matrix v w^T with w = c (-v1, v0)
+    orthogonal to v: a nonzero isotropic pure quaternion of the split model."""
+    while True:
+        v0, v1 = rng.randint(-5, 5), rng.randint(-5, 5)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if (v0, v1) != (0, 0) and c != 0:
+            return Quat.from_matrix([[-c * v0 * v1, c * v0 * v0],
+                                     [-c * v1 * v1, c * v0 * v1]])
+
+
 def test_unsplit_inverse_of_split_on_pairs():
     rng = random.Random(18)
     done = 0
     while done < 100:
-        u1 = rand_isotropic(rng)
-        u2 = rand_isotropic(rng)
-        t1 = Quat(0, *((u1 - u1.conj()).scale(Fraction(1, 2)).coords()[1:]))
-        t2 = Quat(0, *((u2 - u2.conj()).scale(Fraction(1, 2)).coords()[1:]))
-        if t1.is_zero() or t2.is_zero() or t1.nrd() != 0 or t2.nrd() != 0:
-            continue
+        t1 = rand_pure_isotropic(rng)
+        t2 = rand_pure_isotropic(rng)
+        assert all(t.coords()[0] == 0 and t.nrd() == 0 and not t.is_zero() for t in (t1, t2))
         l1 = ProjLine.from_quat(t1, "B0")
         l2 = ProjLine.from_quat(t2, "B0")
         if bilinear(t1, t2) == 0 and l1 != l2:

@@ -14,7 +14,7 @@ from rmlab.cocycles import (
 from rmlab.errors import MixedDiscriminant
 from rmlab.exact import QuadIrr, p_free, quad_sign
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
-from rmlab.hyperbolic import OrientedGeodesic, cross_segment
+from rmlab.hyperbolic import cross_segment
 from rmlab.linalg import nullspace
 from rmlab.mat2 import (
     from_ints,
@@ -91,7 +91,7 @@ def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
                 f = QForm(A, B, C)
                 if not orbit_equivalent(f, base, p):
                     continue
-                sgn = cross_segment(segment, OrientedGeodesic(f))
+                sgn = cross_segment(segment, f)
                 if sgn:
                     out[f] = out.get(f, 0) + sgn
     return RMDivisor(out)
