@@ -176,19 +176,6 @@ def vertex_witness(v: TVertex, p: int) -> Mat:
 # rays and point reduction
 
 
-def _line_vector(a, p: int):
-    """Primitive Z_p-vector spanning the boundary line of a."""
-    if a is INFINITY:
-        return (Fraction(1), Fraction(0))
-    a = Fraction(a)
-    if a == 0:
-        return (Fraction(0), Fraction(1))
-    v = val_p(a, p)
-    if v >= 0:
-        return (a, Fraction(1))
-    return (a * Fraction(p) ** (-v), Fraction(p) ** (-v))
-
-
 def reduce_point(a, p: int, R: int) -> list[TVertex]:
     """First R + 1 vertices (from the standard one) of the ray toward a."""
     if isinstance(a, QpApprox):
@@ -198,30 +185,9 @@ def reduce_point(a, p: int, R: int) -> list[TVertex]:
                 f"ray depth {R} exceeds the known precision {a.abs_prec}")
         return ray
     pt = _as_point(a)
-    c1 = _line_vector(pt, p)
-    out = []
-    for m in range(R + 1):
-        pm = Fraction(p) ** m
-        # the lattice (line cap L0) + p^m L0, from its three generators
-        out.append(vertex_of_columns(
-            [c1, (pm, Fraction(0)), (Fraction(0), pm)], p))
-    return out
-
-
-def digit_ray_oracle(a: Fraction, p: int, R: int) -> list[TVertex]:
-    """Digit-peeling oracle for p-integral boundary points: the ray is the
-    sequence of truncations of the digit expansion."""
-    a = Fraction(a)
-    if a != 0 and val_p(a, p) < 0:
-        raise ValueError("boundary point must be p-integral")
-    out = []
-    for m in range(R + 1):
-        mod = p ** m
-        if m == 0:
-            out.append(make_vertex(p, 0, 0))
-            continue
-        num = a.numerator * pow(a.denominator, -1, mod) % mod
-        out.append(make_vertex(p, m, num))
+    out = [STANDARD]
+    for _ in range(R):
+        out.append(next_toward(out[-1], pt, p))
     return out
 
 

@@ -66,6 +66,17 @@ def _check_prime(p: int) -> int:
     return p
 
 
+# the least value each integer option accepts, in every subcommand having it
+_MINIMUM = {"level": 1, "levels": 0, "prec": 1, "radius": 0}
+
+
+def _check_ranges(args) -> None:
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{name} must be at least {low}: {value}")
+
+
 class UsageError(Exception):
     pass
 
@@ -241,6 +252,7 @@ def run(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("fn",) and v is not None}
     try:
+        _check_ranges(args)
         body = args.fn(args)
         report = {
             "version": __version__,

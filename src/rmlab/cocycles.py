@@ -11,6 +11,7 @@ twisted-diagonal labels.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import (
@@ -44,39 +45,56 @@ from .rmpoints import QForm, automorph, form_apply, is_rm_for, orbit_conjugator
 # divisors
 
 
-class RMDivisor:
-    """Finite signed formal sum of RM points, keyed by their forms."""
+class SignedSum:
+    """Immutable finite signed formal sum: a dict from key to a nonzero int.
+
+    Built from a dict or from (key, multiplicity) pairs; repeated keys add
+    up and zero totals are dropped.  Subclasses name what the keys are and
+    add the actions on them."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: dict[QForm, int] | None = None):
-        clean = {f: m for f, m in (entries or {}).items() if m != 0}
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, entries=()):
+        acc: defaultdict = defaultdict(int)
+        for k, m in entries.items() if isinstance(entries, dict) else entries:
+            acc[k] += m
+        object.__setattr__(self, "entries", {k: m for k, m in acc.items() if m})
 
     def __setattr__(self, *args):
-        raise AttributeError("RMDivisor is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __add__(self, other: "RMDivisor") -> "RMDivisor":
-        out = dict(self.entries)
-        for f, m in other.entries.items():
-            out[f] = out.get(f, 0) + m
-        return RMDivisor(out)
+    def _like(self, pairs):
+        """A sum of the same kind over the given pairs."""
+        return type(self)(pairs)
 
-    def __neg__(self) -> "RMDivisor":
-        return RMDivisor({f: -m for f, m in self.entries.items()})
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like([*self.entries.items(), *other.entries.items()])
 
-    def __sub__(self, other: "RMDivisor") -> "RMDivisor":
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: int) -> "RMDivisor":
-        return RMDivisor({f: c * m for f, m in self.entries.items()})
+    def scale(self, c: int):
+        return self._like((k, c * m) for k, m in self.entries.items())
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.entries == other.entries
+
+
+class RMDivisor(SignedSum):
+    """Finite signed formal sum of RM points, keyed by their forms."""
+
+    __slots__ = ()
 
     def act(self, g: Mat) -> "RMDivisor":
-        out: dict[QForm, int] = {}
-        for f, m in self.entries.items():
-            key = form_apply(g, f)
-            out[key] = out.get(key, 0) + m
-        return RMDivisor(out)
+        return RMDivisor((form_apply(g, f), m) for f, m in self.entries.items())
 
     def restrict_levels(self, base_disc: int, p: int, levels: int) -> "RMDivisor":
         """Keep points whose disc is base_disc * p^(2m) with |m| <= levels."""
@@ -89,12 +107,6 @@ class RMDivisor:
             if p_free(r, p) == 1 and val_p(r, p) <= 2 * levels:
                 keep[f] = m
         return RMDivisor(keep)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, RMDivisor) and self.entries == other.entries
 
     def __repr__(self):
         items = sorted(self.entries.items(), key=lambda fm: fm[0].triple())
@@ -124,42 +136,14 @@ def label_p_exponent(lbl: Label, p: int) -> int:
     return val_p(a * d - b * c, p) // 2
 
 
-class RQDivisor:
+class RQDivisor(SignedSum):
     """Finite signed sum of twisted-diagonal labels (canonical matrices)."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[Label, int] | None = None):
-        clean = {v: m for v, m in (entries or {}).items() if m != 0}
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RQDivisor is immutable")
-
-    def __add__(self, other: "RQDivisor") -> "RQDivisor":
-        out = dict(self.entries)
-        for v, m in other.entries.items():
-            out[v] = out.get(v, 0) + m
-        return RQDivisor(out)
-
-    def __neg__(self) -> "RQDivisor":
-        return RQDivisor({v: -m for v, m in self.entries.items()})
-
-    def __sub__(self, other: "RQDivisor") -> "RQDivisor":
-        return self + (-other)
-
-    def scale(self, c: int) -> "RQDivisor":
-        return RQDivisor({v: c * m for v, m in self.entries.items()})
+    __slots__ = ()
 
     def restrict_p_exponent(self, p: int, radius: int) -> "RQDivisor":
         return RQDivisor({v: m for v, m in self.entries.items()
                           if label_p_exponent(v, p) <= radius})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, RQDivisor) and self.entries == other.entries
 
     def __repr__(self):
         items = sorted(self.entries.items())
@@ -172,22 +156,14 @@ class RQDivisor:
 
 def sigma_swap(div: RQDivisor) -> RQDivisor:
     """Relabel every twisted diagonal by the inverse group element."""
-    out: dict[Label, int] = {}
-    for v, m in div.entries.items():
-        w = label_inverse(v)
-        out[w] = out.get(w, 0) + m
-    return RQDivisor(out)
+    return RQDivisor((label_inverse(v), m) for v, m in div.entries.items())
 
 
 def int_rm(div: RQDivisor, base: QForm, p: int) -> RMDivisor:
     """Push labels through v -> v . root(base), collecting multiplicities."""
     if not is_rm_for(base, p):
         raise NotRM(f"base not RM for p={p}")
-    out: dict[QForm, int] = {}
-    for v, m in div.entries.items():
-        f = form_apply(from_ints(v), base)
-        out[f] = out.get(f, 0) + m
-    return RMDivisor(out)
+    return RMDivisor((form_apply(from_ints(v), base), m) for v, m in div.entries.items())
 
 
 class ChainSquare:
@@ -220,11 +196,7 @@ def dv_value_on_segment(base: QForm, segment: GSegment | None, p: int,
                         levels: int) -> RMDivisor:
     if segment is None:
         return RMDivisor()
-    crossings = enumerate_crossing_orbit(segment, base, p, levels)
-    out: dict[QForm, int] = {}
-    for f, s in crossings:
-        out[f] = out.get(f, 0) + s
-    return RMDivisor(out)
+    return RMDivisor(enumerate_crossing_orbit(segment, base, p, levels))
 
 
 def chain_segment(gamma: Mat, x0: HPoint) -> GSegment | None:
@@ -304,7 +276,8 @@ def _lower(v) -> Fraction:
 
 
 def _lower_pos(v) -> Fraction:
-    """Positive rational lower bound for a positive value."""
+    """Positive rational lower bound for a positive value.  Below the 1/4096
+    grid, v = |N(v)| / |v'| for the conjugate v', and N(v) != 0."""
     if not isinstance(v, QuadIrr):
         v = Fraction(v)
         if v <= 0:
@@ -313,12 +286,10 @@ def _lower_pos(v) -> Fraction:
     lo = _lower(v)
     if lo > 0:
         return lo
-    c = Fraction(1, 8192)
-    while not v > c:
-        c /= 2
-        if c < Fraction(1, 1 << 48):  # pragma: no cover
-            raise ValueError("value too close to zero for a rational bound")
-    return c
+    if v.sign() <= 0:
+        raise ValueError("value must be positive")
+    conj = v.conj()
+    return abs(v.norm()) / _upper(conj if conj.sign() > 0 else -conj)
 
 
 def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -399,12 +370,8 @@ def _folded_pairing(chain: ChainSquare, labels) -> RQDivisor:
     """Product-square pairing of the chain with the twisted diagonal of each
     label, counted with the +-1 folding (each unoriented label carries
     twice the sign)."""
-    out: dict[Label, int] = {}
-    for lbl in labels:
-        s = ez_cross(chain.seg1, chain.seg2, from_ints(lbl))
-        if s:
-            out[lbl] = 2 * s
-    return RQDivisor(out)
+    return RQDivisor((lbl, 2 * ez_cross(chain.seg1, chain.seg2, from_ints(lbl)))
+                     for lbl in labels)
 
 
 def d1_value(chain: ChainSquare, p: int, radius: int) -> RQDivisor:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycles import dv_value, perturbed_base_points
+from .cocycles import RMDivisor, dv_value, perturbed_base_points
 from .errors import (
     DegenerateEndpoint,
     MixedDiscriminant,
@@ -29,45 +28,37 @@ from .mat2 import IDENT, Mat, mat_inv, mat_mul
 from .rmpoints import QForm, RMPoint, automorph, is_rm_for, orbit_equivalent
 
 
-@dataclass(frozen=True)
-class RigidFactor:
-    """((z - w)/(z - w'))^m for the root pair of an RM form."""
-
-    form: QForm
-    exponent: int
-
-    @property
-    def w(self) -> QuadIrr:
-        return self.form.root()
-
-    @property
-    def w_conj(self) -> QuadIrr:
-        return self.form.conj_root()
-
-
 def _mat_key(g: Mat):
     return tuple(e for row in g for e in row)
 
 
 class CocycleTable:
     """A 1-cochain materialized on finitely many group elements, keyed by
-    a 2x2 matrix or its four entries in row order."""
+    a 2x2 matrix or its four entries in row order.  The entry at g is the
+    divisor whose form f with exponent m stands for ((z - w)/(z - w'))^m,
+    w and w' the two roots of f."""
 
     def __init__(self, entries: dict | None = None):
         self.entries: dict = {}
-        for g, factors in (entries or {}).items():
+        for g, div in (entries or {}).items():
             key = _mat_key(g) if len(g) == 2 else g
-            self.entries[key] = list(factors)
+            self.entries[key] = div
 
-    def factors_for(self, g: Mat) -> list[RigidFactor]:
-        return self.entries.get(_mat_key(g), [])
+    def factors_for(self, g: Mat) -> RMDivisor:
+        return self.entries.get(_mat_key(g), RMDivisor())
 
     def product_with(self, other: "CocycleTable") -> "CocycleTable":
         out = CocycleTable()
         keys = set(self.entries) | set(other.entries)
         for k in keys:
-            out.entries[k] = self.entries.get(k, []) + other.entries.get(k, [])
+            out.entries[k] = (self.entries.get(k, RMDivisor())
+                              + other.entries.get(k, RMDivisor()))
         return out
+
+
+def _forms(div: RMDivisor) -> list[QForm]:
+    """The divisor's forms in triple order, the order values multiply in."""
+    return sorted(div.entries, key=QForm.triple)
 
 
 def _embed(q: QuadIrr, p: int, N: int, D1: int, D2: int) -> PTower:
@@ -89,12 +80,12 @@ def table_value_fn(table: CocycleTable, at: QuadIrr, p: int, N: int,
     z = _embed(at, p, N, D1, D2)
 
     def fn(g: Mat) -> PTower:
+        div = table.factors_for(g)
         out = PTower.one(p, N, D1, D2)
-        for f in sorted(table.factors_for(g),
-                        key=lambda fa: (fa.form.triple(), fa.exponent)):
-            w = _embed(f.w, p, N, D1, D2)
-            wc = _embed(f.w_conj, p, N, D1, D2)
-            out = out * ((z - w) / (z - wc)) ** f.exponent
+        for f in _forms(div):
+            w = _embed(f.root(), p, N, D1, D2)
+            wc = _embed(f.conj_root(), p, N, D1, D2)
+            out = out * ((z - w) / (z - wc)) ** div.entries[f]
         return out
 
     return fn
@@ -109,13 +100,13 @@ def value_at(table: CocycleTable, tau: RMPoint | QForm, p: int, N: int,
     if not is_rm_for(form, p):
         raise SameOrbit(f"tau is not an RM point for p={p}")
     aut = automorph(form, p)
-    factors = table.factors_for(aut.gamma)
+    forms = _forms(table.factors_for(aut.gamma))
     if D1 is None:
         D1 = form.disc
     if D2 is None:
-        D2 = factors[0].form.disc if factors else 0
-    for f in factors:
-        if orbit_equivalent(f.form, form, p):
+        D2 = forms[0].disc if forms else 0
+    for f in forms:
+        if orbit_equivalent(f, form, p):
             raise NotRegular("a factor root lies in the orbit of tau")
     return table_value_fn(table, form.root(), p, N, D1, D2)(aut.gamma)
 
@@ -221,10 +212,7 @@ def truncated_theta_table(base: QForm, gamma: Mat, x0: HPoint, p: int,
                           levels: int) -> CocycleTable:
     """Cochain entry at gamma: conjugate-paired factors over the crossing
     divisor of the base orbit."""
-    div = dv_value(base, gamma, x0, p, levels)
-    factors = [RigidFactor(f, m) for f, m in sorted(
-        div.entries.items(), key=lambda fm: fm[0].triple())]
-    return CocycleTable({_mat_key(gamma): factors})
+    return CocycleTable({gamma: dv_value(base, gamma, x0, p, levels)})
 
 
 def antisym_experiment(f1: QForm, f2: QForm, p: int, N: int, levels: int,
@@ -255,8 +243,8 @@ def antisym_experiment(f1: QForm, f2: QForm, p: int, N: int, levels: int,
                 t_tau = truncated_theta_table(tau, aut_o.gamma, x, p, k)
             except DegenerateEndpoint:
                 continue
-            n_a = len(t_omega.factors_for(aut_t.gamma))
-            n_b = len(t_tau.factors_for(aut_o.gamma))
+            n_a = len(t_omega.factors_for(aut_t.gamma).entries)
+            n_b = len(t_tau.factors_for(aut_o.gamma).entries)
             if n_a == 0 and n_b == 0:
                 row = {"level": k, "defect": None, "factors_a": 0,
                        "factors_b": 0, "note": "no data"}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MixedDiscriminant, NotInvertible, PrecisionExhausted
+from .errors import Mismatch, MixedDiscriminant, NotInvertible, PrecisionExhausted
 
 Rat = Fraction  # canonical name used in signatures
 _F0 = Fraction(0)
@@ -611,7 +611,7 @@ class PTower:
         if n.zero:
             raise NotInvertible("algebra norm vanishes at precision (zero divisor)")
         if n.coeffs[1] or n.coeffs[2] or n.coeffs[3]:
-            raise AssertionError("algebra norm is not scalar")  # pragma: no cover
+            raise Mismatch("algebra norm is not scalar")  # pragma: no cover
         cof = self.conj_x() * self.conj_y() * self.conj_x().conj_y()
         prec = min(cof.prec, n.prec)
         mod = self.p ** prec

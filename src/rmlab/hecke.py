@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycles import RMDivisor, RQDivisor, dv_value_on_segment, ChainSquare, \
-    d1_candidates, _folded_pairing
+from .cocycles import RMDivisor, RQDivisor, SignedSum, dv_value_on_segment, \
+    ChainSquare, d1_candidates, _folded_pairing
 from .errors import Mismatch
 from .exact import divisors, p_free, sigma1, val_p, xgcd
 from .hyperbolic import GSegment, ez_cross  # noqa: F401 - perfbench rebinds hecke.ez_cross
@@ -195,30 +195,29 @@ def tree_neighbor_count(n: int, p: int) -> int:
 # the Hecke algebra
 
 
-class HeckeElt:
+class HeckeElt(SignedSum):
     """Finite integer combination of double cosets, keyed by
-    (e1, e2, val_p det)."""
+    (e1, e2, val_p det), at the prime p."""
 
-    __slots__ = ("terms", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, terms: dict, p: int):
-        clean = {k: c for k, c in terms.items() if c != 0}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms, p: int):
+        super().__init__(terms)
         object.__setattr__(self, "p", p)
 
-    def __setattr__(self, *args):
-        raise AttributeError("HeckeElt is immutable")
+    @property
+    def terms(self) -> dict:
+        return self.entries
+
+    def _like(self, pairs) -> "HeckeElt":
+        return HeckeElt(pairs, self.p)
 
     @staticmethod
     def Tn(n: int, p: int) -> "HeckeElt":
         """The reduced-norm-n operator: sum of the double cosets of O_n."""
-        terms: dict = {}
         n0, e = p_free(n, p), val_p(n, p)
-        for e1 in divisors(n0):
-            if (n0 // e1) % e1:
-                continue
-            terms[(e1, n0 // e1, e)] = terms.get((e1, n0 // e1, e), 0) + 1
-        return HeckeElt(terms, p)
+        return HeckeElt((((e1, n0 // e1, e), 1) for e1 in divisors(n0)
+                         if (n0 // e1) % e1 == 0), p)
 
     @staticmethod
     def T_scalar(l: int, p: int) -> "HeckeElt":
@@ -230,21 +229,8 @@ class HeckeElt:
     def one(p: int) -> "HeckeElt":
         return HeckeElt({(1, 1, 0): 1}, p)
 
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return HeckeElt(out, self.p)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "HeckeElt":
-        return HeckeElt({k: c * v for k, v in self.terms.items()}, self.p)
-
     def __eq__(self, other):
-        return isinstance(other, HeckeElt) and self.p == other.p and \
-            self.terms == other.terms
+        return super().__eq__(other) and self.p == other.p
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -280,7 +266,7 @@ def hecke_mul(s: HeckeElt, t: HeckeElt) -> HeckeElt:
     if s.p != t.p:
         raise ValueError("Hecke elements at different primes")
     p = s.p
-    out: dict = {}
+    out = []
     for ls, cs in s.terms.items():
         alphas = cosets_of_label(ls, p)
         for lt, ct in t.terms.items():
@@ -302,7 +288,7 @@ def hecke_mul(s: HeckeElt, t: HeckeElt) -> HeckeElt:
                 expected = len(cosets_of_label(lbl, p))
                 if expected != len(pairs):
                     raise Mismatch(f"double coset {lbl} only partially covered")
-                out[lbl] = out.get(lbl, 0) + cs * ct * counts.pop()
+                out.append((lbl, cs * ct * counts.pop()))
     return HeckeElt(out, p)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import NotInvertible
 from .exact import QuadIrr, val_p
 
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -36,7 +37,7 @@ def mat_det(m: Mat) -> Fraction:
 def mat_inv(m: Mat) -> Mat:
     d = mat_det(m)
     if d == 0:
-        raise ZeroDivisionError("singular matrix")
+        raise NotInvertible("singular matrix")
     return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
 
 
@@ -88,7 +89,3 @@ def moebius_quadirr(m: Mat, w: QuadIrr) -> QuadIrr:
     den = w * m[1][0] + m[1][1]
     return num / den
 
-
-def sl2zp_generators(p: int) -> list[Mat]:
-    """Generators of SL2(Z[1/p]): S, T and the p-scaling torus element."""
-    return [mat(0, -1, 1, 0), mat(1, 1, 0, 1), mat(p, 0, 0, Fraction(1, p))]

@@ -221,7 +221,7 @@ def _lift_sl2(cd, N: int):
             return (y, -x, c1, dd)
         if c1 == 0 and dd == 0:
             continue
-    raise RuntimeError("no coprime lift found")  # pragma: no cover
+    raise Mismatch("no coprime lift found")  # pragma: no cover
 
 
 def _cusp_equiv(N: int, cusp1, cusp2) -> bool:

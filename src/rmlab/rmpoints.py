@@ -177,7 +177,7 @@ def reduced_cycle(f: QForm) -> tuple[list[QForm], dict[QForm, Mat]]:
         cur = nxt
         guard -= 1
         if guard < 0:  # pragma: no cover
-            raise RuntimeError("reduction did not terminate")
+            raise Mismatch("reduction did not terminate")
     start, w = cur, conj
     cyc = [start]
     witnesses = {start: w}
@@ -215,7 +215,7 @@ def class_witness(f: QForm, target_triple: tuple[int, int, int]) -> Mat:
     for g in cyc:
         if g.triple() == target_triple:
             return wit[g]
-    raise KeyError("target not in cycle")
+    raise Mismatch("target not in cycle")
 
 
 # ---------------------------------------------------------------------------

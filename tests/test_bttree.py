@@ -11,7 +11,6 @@ from rmlab.bttree import (
     TEdge,
     act_vertex,
     check_harmonic,
-    digit_ray_oracle,
     make_vertex,
     neighbors,
     next_toward,
@@ -25,6 +24,7 @@ from rmlab.bttree import (
 )
 from rmlab.errors import PrecisionExhausted
 from rmlab.mat2 import mat, mat_det
+from tests_helpers_brute import digit_ray_oracle, sl2zp_generators
 
 
 def test_make_vertex_canonical():
@@ -245,8 +245,6 @@ def test_three_orbits_on_radius_4_patch():
             assert act_vertex(g, src, p) == v
         # parity is preserved by the group, so there are (at least) two
         # vertex orbits; the witnesses show exactly two
-        from rmlab.mat2 import sl2zp_generators
-
         for g in sl2zp_generators(p):
             for v in verts[:12]:
                 assert vertex_parity(act_vertex(g, v, p)) == vertex_parity(v)

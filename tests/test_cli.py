@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rmlab.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,6 +46,21 @@ def test_invalid_prime_exits_2(capsys):
     code, out = capture(capsys, ["automorph", "--form", "1,-1,-1", "--p", "4"])
     assert code == 2
     assert "p not prime" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    "modform --level 0",
+    "residues --p 3 --a 0 --b inf --radius -1",
+    "dv --form 1,-1,-1 --gamma 2,1,1,1 --p 2 --levels -1",
+    "d1 --seg1 1/2,1/3,1/2,3 --seg2=-1/3,1/2,5/4,5/4 --p 3 --radius -1",
+    "theorem-b --form 1,-1,-1 --p 2 --n0 0 --n1 2 --levels -1",
+    "antisym --f1 1,-1,-1 --f2 1,0,-2 --p 3 --prec 0",
+])
+def test_out_of_range_argument_exits_2(capsys, argv):
+    code, out = capture(capsys, shlex.split(argv))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "usage" and "must be at least" in err["message"]
 
 
 def test_math_error_exits_1(capsys):

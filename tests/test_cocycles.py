@@ -17,10 +17,12 @@ from rmlab.cocycles import (
     label_inverse,
     sigma_swap,
     theorem_b_chain_check,
+    _lower_pos,
     _upper,
 )
 from rmlab.errors import NotRM
 from rmlab.exact import QuadIrr
+from rmlab.hecke import HeckeElt
 from rmlab.hyperbolic import GSegment, HPoint, winding_oracle
 from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul, mat_neg
 from rmlab.rmpoints import QForm, form_apply
@@ -79,6 +81,43 @@ def test_upper_is_exact_grid_ceiling(v):
     u = _upper(v)
     assert v <= u < v + Fraction(1, 4096)
     assert (4096 * u).denominator == 1
+
+
+# one maker and two distinct keys per signed-sum type
+SIGNED_SUMS = {
+    "RMDivisor": (RMDivisor, (GOLDEN, QForm(1, 0, -2))),
+    "RQDivisor": (RQDivisor, ((2, 1, 1, 1), (1, 0, 0, 2))),
+    "HeckeElt": (lambda e: HeckeElt(e, 2), ((1, 1, 0), (1, 2, 0))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNED_SUMS))
+def test_signed_sum_algebra(kind):
+    make, (k1, k2) = SIGNED_SUMS[kind]
+    a = make({k1: 2, k2: 0})
+    assert a.entries == {k1: 2}
+    assert make([(k1, 1), (k2, 3), (k1, 1), (k2, -3)]) == a
+    b = make({k1: -1, k2: 5})
+    assert (a + (-a)).is_zero()
+    assert a - b == a + b.scale(-1) == make({k1: 3, k2: -5})
+    assert a.scale(0).is_zero()
+    for other, (make_other, _) in SIGNED_SUMS.items():
+        if other != kind:
+            assert make_other(dict(a.entries)) != a
+    if kind == "HeckeElt":
+        assert HeckeElt(a.entries, 3) != a
+    with pytest.raises(AttributeError):
+        a.entries = {}
+
+
+def test_lower_pos_below_any_grid():
+    # (3 - 2 sqrt 2)^20 = 1 / (3 + 2 sqrt 2)^20 is about 5e-16 < 2^-48
+    v = QuadIrr(3, -2, 2) ** 20
+    assert v < Fraction(1, 1 << 48)
+    lo = _lower_pos(v)
+    assert 0 < lo <= v
+    with pytest.raises(ValueError):
+        _lower_pos(-v)
 
 
 def test_cocycle_defect_identity():

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from rmlab.cocycles import RMDivisor, dv_value
 from rmlab.errors import NotRegular, SameOrbit
 from rmlab.evaluate import (
     CocycleTable,
-    RigidFactor,
     antisym_experiment,
     cross_cochain_eta,
     cross_cochain_kappa,
@@ -63,7 +63,7 @@ def test_trivial_cocycle_inverse_power():
 
 def test_value_at_single_factor_matches_direct():
     table = CocycleTable({tuple(e for row in automorph(GOLDEN, 3).gamma
-                                for e in row): [RigidFactor(SQRT2, 2)]})
+                                for e in row): RMDivisor({SQRT2: 2})})
     v = value_at(table, GOLDEN, 3, 10, D1=5, D2=8)
     # direct recomputation in the tower
     z = PTower.from_quadirr(GOLDEN.root(), 3, 10, 5, 8, slot=1)
@@ -76,10 +76,10 @@ def test_value_at_single_factor_matches_direct():
 def test_cocycle_table_accepts_matrix_keys():
     # a 2x2 matrix key is flattened like the four-entry key, not stored as is
     g = automorph(GOLDEN, 3).gamma
-    by_matrix = CocycleTable({g: [RigidFactor(SQRT2, 2)]})
-    by_entries = CocycleTable({tuple(e for row in g for e in row): [RigidFactor(SQRT2, 2)]})
+    by_matrix = CocycleTable({g: RMDivisor({SQRT2: 2})})
+    by_entries = CocycleTable({tuple(e for row in g for e in row): RMDivisor({SQRT2: 2})})
     assert by_matrix.entries == by_entries.entries
-    assert by_matrix.factors_for(g) == [RigidFactor(SQRT2, 2)]
+    assert by_matrix.factors_for(g) == RMDivisor({SQRT2: 2})
     v = value_at(by_matrix, GOLDEN, 3, 10, D1=5, D2=8)
     assert v.eq_at_precision(value_at(by_entries, GOLDEN, 3, 10, D1=5, D2=8))
     assert not v.eq_at_precision(PTower.one(3, 10, 5, 8))
@@ -88,8 +88,8 @@ def test_cocycle_table_accepts_matrix_keys():
 def test_value_at_multiplicative():
     g = automorph(GOLDEN, 3).gamma
     key = tuple(e for row in g for e in row)
-    t1 = CocycleTable({key: [RigidFactor(SQRT2, 1)]})
-    t2 = CocycleTable({key: [RigidFactor(SQRT2, 2), RigidFactor(QForm(1, 2, -1), 1)]})
+    t1 = CocycleTable({key: RMDivisor({SQRT2: 1})})
+    t2 = CocycleTable({key: RMDivisor({SQRT2: 2, QForm(1, 2, -1): 1})})
     prod = t1.product_with(t2)
     v1 = value_at(t1, GOLDEN, 3, 10, D1=5, D2=8)
     v2 = value_at(t2, GOLDEN, 3, 10, D1=5, D2=8)
@@ -100,7 +100,7 @@ def test_value_at_multiplicative():
 def test_value_at_not_regular():
     g = automorph(GOLDEN, 2).gamma
     key = tuple(e for row in g for e in row)
-    table = CocycleTable({key: [RigidFactor(GOLDEN, 1)]})
+    table = CocycleTable({key: RMDivisor({GOLDEN: 1})})
     with pytest.raises(NotRegular):
         value_at(table, GOLDEN, 2, 8)
 
@@ -121,7 +121,7 @@ def test_pair_value_eta_cross_product():
     p, N = 3, 10
     g_tau = automorph(GOLDEN, p).gamma
     key = tuple(e for row in g_tau for e in row)
-    table = CocycleTable({key: [RigidFactor(SQRT2, 1)]})
+    table = CocycleTable({key: RMDivisor({SQRT2: 1})})
     fn = table_value_fn(table, GOLDEN.root(), p, N, 5, 8)
     j2 = cross_cochain_eta(fn, SQRT2, p)
     got = pair_value(j2, GOLDEN, SQRT2, p)
@@ -172,11 +172,8 @@ def test_truncated_theta_table_factors():
     aut = automorph(GOLDEN, 2)
     t = truncated_theta_table(GOLDEN, aut.gamma, x0, 2, 1)
     facs = t.factors_for(aut.gamma)
-    from rmlab.cocycles import dv_value
-
     div = dv_value(GOLDEN, aut.gamma, x0, 2, 1)
-    assert sorted((f.form.triple(), f.exponent) for f in facs) == \
-        sorted((g.triple(), m) for g, m in div.entries.items())
+    assert facs == div
 
 
 def test_torsion_exponent():

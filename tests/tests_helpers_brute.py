@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from rmlab.bttree import TVertex, make_vertex
 from rmlab.cocycles import (
     ChainSquare,
     RMDivisor,
@@ -12,7 +13,7 @@ from rmlab.cocycles import (
     d1_value,
 )
 from rmlab.errors import MixedDiscriminant
-from rmlab.exact import QuadIrr, p_free, quad_sign
+from rmlab.exact import QuadIrr, p_free, quad_sign, val_p
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
 from rmlab.hyperbolic import cross_segment
 from rmlab.linalg import nullspace
@@ -23,7 +24,6 @@ from rmlab.mat2 import (
     mat_inv,
     mat_mul,
     moebius_quadirr,
-    sl2zp_generators,
 )
 from rmlab.quaternion import ProjLine, Quat
 from rmlab.rmpoints import Automorph, QForm, is_rm_for, orbit_equivalent
@@ -38,6 +38,28 @@ def pell4_scan(D: int, cap: int):
         if t * t == t2:
             return t, u
     return None
+
+
+def sl2zp_generators(p: int) -> list:
+    """Generators of SL2(Z[1/p]): S, T and the p-scaling torus element."""
+    return [mat(0, -1, 1, 0), mat(1, 1, 0, 1), mat(p, 0, 0, Fraction(1, p))]
+
+
+def digit_ray_oracle(a: Fraction, p: int, R: int) -> list[TVertex]:
+    """Digit-peeling oracle for p-integral boundary points: the ray is the
+    sequence of truncations of the digit expansion."""
+    a = Fraction(a)
+    if a != 0 and val_p(a, p) < 0:
+        raise ValueError("boundary point must be p-integral")
+    out = []
+    for m in range(R + 1):
+        mod = p ** m
+        if m == 0:
+            out.append(make_vertex(p, 0, 0))
+            continue
+        num = a.numerator * pow(a.denominator, -1, mod) % mod
+        out.append(make_vertex(p, m, num))
+    return out
 
 
 def coset_closure(label, p: int):
