@@ -156,8 +156,10 @@ def cmd_residues(args) -> dict:
 
 def cmd_modform(args) -> dict:
     n = args.level
-    basis = build_space(n)
     g, c, dim_m2 = dimension_formula(n)
+    if args.nterms < dim_m2:  # dim_m2 forms are independent on >= dim_m2 terms only
+        raise UsageError(f"--nterms must be at least dim M2 = {dim_m2}: {args.nterms}")
+    basis = build_space(n)
     qs = m2_basis_qexp(n, basis, args.nterms)
     series = []
     for i in range(basis.dim):

@@ -10,20 +10,17 @@ twisted-diagonal labels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .errors import (
-    DegenerateConfiguration,
-    DegenerateEndpoint,
-    IncompleteSearch,
-    NotRM,
-)
-from .exact import QuadIrr, divisors, floor_exact, p_free, val_p
+from .errors import DegenerateConfiguration, DegenerateEndpoint, NotRM
+from .exact import QuadIrr, divisors, floor_exact, p_free, quad_sign, val_p
 from .hyperbolic import (
     GSegment,
     HPoint,
+    _form_value_sign,
     carrying_coeffs,
     enumerate_crossing_orbit,
     ez_cross,
@@ -276,20 +273,13 @@ def _lower(v) -> Fraction:
 
 
 def _lower_pos(v) -> Fraction:
-    """Positive rational lower bound for a positive value.  Below the 1/4096
-    grid, v = |N(v)| / |v'| for the conjugate v', and N(v) != 0."""
-    if not isinstance(v, QuadIrr):
-        v = Fraction(v)
-        if v <= 0:
-            raise ValueError("value must be positive")
-        return v
-    lo = _lower(v)
-    if lo > 0:
-        return lo
-    if v.sign() <= 0:
+    """Positive rational lower bound for a positive value: the 1/4096 grid
+    bound when that is positive, else 1 / (an upper bound for 1/v), which
+    is within a factor 1 + v/4096 of v."""
+    if quad_sign(v) <= 0:
         raise ValueError("value must be positive")
-    conj = v.conj()
-    return abs(v.norm()) / _upper(conj if conj.sign() > 0 else -conj)
+    lo = _lower(v)
+    return lo if lo > 0 else 1 / _upper(1 / v)
 
 
 def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -384,10 +374,6 @@ def d1_value(chain: ChainSquare, p: int, radius: int) -> RQDivisor:
 # the chain identity behind the two-variable / one-variable comparison
 
 
-# half-width of the scan for the first nonzero term of an inner sum
-_SCAN_CAP = 64
-
-
 def theorem_b_chain_check(delta: GSegment, n0: int, n1: int, base: QForm,
                           p: int, levels: int) -> dict:
     """Exact comparison, per RM point of the level window, of
@@ -425,91 +411,58 @@ def theorem_b_chain_check(delta: GSegment, n0: int, n1: int, base: QForm,
                                   "all degeneracies")
 
 
-def _gamma_powers(gamma: Mat, lo: int, hi: int) -> dict[int, Mat]:
-    out = {0: IDENT}
-    g = IDENT
-    for n in range(1, hi + 1):
-        g = mat_mul(gamma, g)
-        out[n] = g
-    gi = mat_inv(gamma)
-    g = IDENT
-    for n in range(1, -lo + 1):
-        g = mat_mul(gi, g)
-        out[-n] = g
-    return out
+def _times_power(beta: Mat, gamma: Mat, n: int) -> Mat:
+    """beta gamma^n."""
+    step = gamma if n >= 0 else mat_inv(gamma)
+    for _ in range(abs(n)):
+        beta = mat_mul(beta, step)
+    return beta
 
 
-def _scan_inner_sum(delta: GSegment, seg: GSegment, beta: Mat,
-                    powers: dict[int, Mat]) -> int:
-    """Sum over n of the pairing against beta gamma^n.
+def _crossing_tile(delta: GSegment, beta: Mat, gamma: Mat, y0: HPoint) -> int:
+    """The n whose tile beta gamma^n . [y0, gamma.y0] holds the crossing of
+    the orbit geodesic through beta.y0 with delta's carrying geodesic.
 
-    The nonzero terms form one contiguous block (the translated segments
-    slide monotonically along the geodesic), so the scan starts at 0,
-    spirals outward to the first nonzero value, then walks both ways until
-    two consecutive zeros flank the block."""
-    cache: dict[int, int] = {}
+    The tiles cover the orbit geodesic end to end and a support form's
+    geodesic meets delta's carrying geodesic exactly once, so the points
+    beta gamma^n . y0 change side of the latter exactly once; the walk
+    steps both ways from n = 0 by beta gamma beta^-1 until they do."""
+    coeffs = carrying_coeffs(delta)
+    up = mat_mul(mat_mul(beta, gamma), mat_inv(beta))
+    down = mat_inv(up)
 
-    def val(n: int) -> int:
-        if n not in cache:
-            if n not in powers:
-                raise IncompleteSearch("scan window exhausted")
-            cache[n] = ez_cross(delta, seg, mat_mul(beta, powers[n]))
-        return cache[n]
+    def side_of(z: HPoint) -> int:
+        s = _form_value_sign(coeffs, delta.D, z)
+        if s == 0:
+            raise DegenerateConfiguration("tile endpoint on the carrying geodesic")
+        return s
 
-    center = None
-    for i in range(_SCAN_CAP + 1):
-        for n in ({i, -i}):
-            if val(n) != 0:
-                center = n
-                break
-        if center is not None:
-            break
-    if center is None:
-        return 0
-    lo = hi = center
-    zeros = 0
-    n = center
-    while zeros < 2:
-        n += 1
-        if val(n) != 0:
-            hi, zeros = n, 0
-        else:
-            zeros += 1
-    zeros = 0
-    n = center
-    while zeros < 2:
-        n -= 1
-        if val(n) != 0:
-            lo, zeros = n, 0
-        else:
-            zeros += 1
-    if any(val(n) == 0 for n in range(lo, hi + 1)):
-        raise DegenerateConfiguration("crossing block not contiguous")
-    return sum(val(n) for n in range(lo, hi + 1))
+    z_up = z_down = moebius_point(beta, y0)
+    s0 = side_of(z_up)
+    for k in itertools.count(1):
+        z_up = moebius_point(up, z_up)
+        if side_of(z_up) != s0:
+            return k - 1
+        z_down = moebius_point(down, z_down)
+        if side_of(z_down) != s0:
+            return -k
 
 
 def _theorem_b_points(delta, n0, n1, base, aut, support, p, ty):
+    """Each inner sum is read off the tile n* holding delta's crossing:
+    beta gamma^n . [gamma^n0 y0, gamma^n1 y0] meets delta exactly when it
+    covers that tile, that is for n in (n* - max(n0, n1), n* - min(n0, n1)]."""
     y0 = point_on_geodesic(base, ty)
+    gamma = aut.gamma
+    seg_unit = GSegment(y0, moebius_point(gamma, y0))
+    ends = [moebius_point(_times_power(IDENT, gamma, n), y0) for n in (n0, n1)]
     points = []
-    lo = min(n0, n1, 0) - _SCAN_CAP - 1
-    hi = max(n0, n1, 0) + _SCAN_CAP + 1
-    powers = _gamma_powers(aut.gamma, lo, hi)
-    if n0 != n1:
-        seg_full = GSegment(moebius_point(powers[n0], y0),
-                            moebius_point(powers[n1], y0))
-        seg_unit = GSegment(y0, moebius_point(powers[1], y0))
-    else:
-        seg_full = None
-        seg_unit = GSegment(y0, moebius_point(powers[1], y0))
     for f, cross in support:
         beta = orbit_conjugator(base, f, p)
-        inner_unit = _scan_inner_sum(delta, seg_unit, beta, powers)
-        if seg_full is None:
-            inner = 0
-        elif (n0, n1) == (0, 1):
-            inner = inner_unit
-        else:
-            inner = _scan_inner_sum(delta, seg_full, beta, powers)
+        n_star = _crossing_tile(delta, beta, gamma, y0)
+        inner_unit = ez_cross(delta, seg_unit, _times_power(beta, gamma, n_star))
+        inner = sum(ez_cross(delta, GSegment(*ends), _times_power(beta, gamma, n))
+                    for n in range(n_star - max(n0, n1) + 1, n_star - min(n0, n1) + 1))
         lhs = 2 * inner
         rhs = -2 * (n1 - n0) * cross
         points.append({

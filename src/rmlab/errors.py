@@ -49,10 +49,6 @@ class SamplesExhausted(RmlabError):
     """The winding oracle ran out of refinement budget."""
 
 
-class IncompleteSearch(RmlabError):
-    """A support search cannot be certified complete at the given radius."""
-
-
 class Mismatch(RmlabError):
     """Two independent computations of the same value disagree."""
 

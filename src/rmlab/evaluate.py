@@ -9,7 +9,6 @@ commuting pair a = (gamma_tau, 1), b = (1, gamma_omega).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -22,9 +21,9 @@ from .errors import (
     PrecisionExhausted,
     SameOrbit,
 )
-from .exact import PTower, QuadIrr, frac_is_square
+from .exact import PTower, QuadIrr, frac_is_square, quad_sign
 from .hyperbolic import HPoint
-from .mat2 import IDENT, Mat, mat_inv, mat_mul
+from .mat2 import IDENT, Mat
 from .rmpoints import QForm, RMPoint, automorph, is_rm_for, orbit_equivalent
 
 
@@ -142,28 +141,22 @@ def cross_cochain_eta(i_value_fn, omega: QForm, p: int):
     The wedge of two odd-degree cochains carries the Koszul sign, which in
     multiplicative notation is the inverse exponent: the returned 2-cochain
     is ((g1, h1), (g2, h2)) -> I(g1)^(-eta(h2))."""
-    aut = automorph(omega, p)
+    w, eps = omega.root(), automorph(omega, p).eps
 
     def eta(h: Mat) -> int:
-        # exponent n with h = +-gamma_omega^n, for the powers the cap uses
-        if h == IDENT:
-            return 0
-        n = 0
-        cur = IDENT
-        for _ in range(64):
-            cur = mat_mul(cur, aut.gamma)
-            n += 1
-            if cur == h:
-                return n
-        cur = IDENT
-        gi = mat_inv(aut.gamma)
-        n = 0
-        for _ in range(64):
-            cur = mat_mul(cur, gi)
-            n -= 1
-            if cur == h:
-                return n
-        raise ValueError("argument is not a small power of the automorph")
+        # h = +-gamma_omega^n fixes w with eigenvalue c w + d = +-eps^n
+        (a, b), (c, d) = h
+        lam = w * c + d
+        if lam == 0 or w * a + b != w * lam:
+            raise ValueError("argument does not fix the root of omega")
+        lam, n = (lam if quad_sign(lam) > 0 else -lam), 0
+        while lam >= eps:
+            lam, n = lam / eps, n + 1
+        while lam < 1:
+            lam, n = lam * eps, n - 1
+        if lam != 1:
+            raise ValueError("argument is not a power of the automorph")
+        return n
 
     def j2(x, y):
         g1, _h1 = x
@@ -284,7 +277,3 @@ def antisym_experiment(f1: QForm, f2: QForm, p: int, N: int, levels: int,
     defs = [s["defect"] for s in steps if s["defect"] is not None]
     report["nondecreasing"] = all(a <= b for a, b in zip(defs, defs[1:]))
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

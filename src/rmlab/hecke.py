@@ -183,14 +183,6 @@ def _check_pairwise(cl: CosetList) -> None:
                 raise Mismatch("alpha_i alpha_j^-1 landed in Gamma")
 
 
-def tree_neighbor_count(n: int, p: int) -> int:
-    """Lattice-count oracle: sublattices of index n (= sigma_1) and the
-    p+1 tree neighbors for n = p."""
-    if n == p:
-        return p + 1
-    return sigma1(n)
-
-
 # ---------------------------------------------------------------------------
 # the Hecke algebra
 

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Mismatch
-from .exact import divisors
-
 
 def _is_zero(x) -> bool:
     return x == 0
@@ -78,78 +75,5 @@ def solve(rows: list[list], rhs: list):
     return x
 
 
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def mat_vec(a: list[list], v: list) -> list:
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def charpoly(a: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial coefficients [c0, ..., cn] of det(xI - A),
-    via the Faddeev-LeVerrier recursion (exact over Q)."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -Fraction(sum(m[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
-def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
-    """All rational roots of the characteristic polynomial, with multiplicity."""
-    coeffs = charpoly(a)
-    # clear denominators to an integer polynomial
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
-    roots: list[Fraction] = []
-    poly = ic[:]
-
-    def eval_poly(p, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
-
-    def candidates(p):
-        lead = p[-1]
-        const = next((c for c in p if c != 0), None)
-        if const is None:
-            return [Fraction(0)]
-        cands = {Fraction(0)}
-        for r in divisors(abs(const.numerator)):
-            for s in divisors(abs(lead.numerator)):
-                cands.add(Fraction(r, s))
-                cands.add(Fraction(-r, s))
-        return cands
-
-    while len(poly) > 1:
-        root = next((x for x in candidates(poly) if eval_poly(poly, x) == 0), None)
-        if root is None:
-            break
-        roots.append(root)
-        # synthetic division by (x - root)
-        out = [Fraction(0)] * (len(poly) - 1)
-        acc = Fraction(0)
-        for i in range(len(poly) - 1, 0, -1):
-            acc = poly[i] + acc * root
-            out[i - 1] = acc
-        rem = poly[0] + acc * root
-        if rem != 0:
-            raise Mismatch("synthetic division left a remainder")
-        poly = out
-    return roots
-

@@ -41,10 +41,6 @@ def mat_inv(m: Mat) -> Mat:
     return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
 
 
-def mat_neg(m: Mat) -> Mat:
-    return ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
-
-
 def mat_scale(m: Mat, c) -> Mat:
     c = Fraction(c)
     return ((m[0][0] * c, m[0][1] * c), (m[1][0] * c, m[1][1] * c))

@@ -50,6 +50,9 @@ def test_invalid_prime_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     "modform --level 0",
+    "modform --level 11 --nterms 0",
+    "modform --level 11 --nterms 1",
+    "modform --level 11 --nterms -1",
     "residues --p 3 --a 0 --b inf --radius -1",
     "dv --form 1,-1,-1 --gamma 2,1,1,1 --p 2 --levels -1",
     "d1 --seg1 1/2,1/3,1/2,3 --seg2=-1/3,1/2,5/4,5/4 --p 3 --radius -1",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rmlab import rmpoints
 from rmlab.cocycles import (
@@ -18,14 +20,23 @@ from rmlab.cocycles import (
     sigma_swap,
     theorem_b_chain_check,
     _lower_pos,
+    _theorem_b_points,
     _upper,
 )
-from rmlab.errors import NotRM
-from rmlab.exact import QuadIrr
+from rmlab.errors import DegenerateEndpoint, NotRM
+from rmlab.exact import QuadIrr, floor_exact
 from rmlab.hecke import HeckeElt
-from rmlab.hyperbolic import GSegment, HPoint, winding_oracle
-from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul, mat_neg
-from rmlab.rmpoints import QForm, form_apply
+from rmlab.hyperbolic import (
+    GSegment,
+    HPoint,
+    cross_segment,
+    moebius_point,
+    point_on_geodesic,
+    winding_oracle,
+)
+from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul
+from rmlab.rmpoints import QForm, automorph, form_apply, form_of_disc, orbit_conjugator
+from tests_helpers_brute import mat_neg, scan_inner_sum
 
 GOLDEN = QForm(1, -1, -1)
 X0 = HPoint(Fraction(1, 5), Fraction(1, 5))
@@ -111,13 +122,16 @@ def test_signed_sum_algebra(kind):
 
 
 def test_lower_pos_below_any_grid():
-    # (3 - 2 sqrt 2)^20 = 1 / (3 + 2 sqrt 2)^20 is about 5e-16 < 2^-48
-    v = QuadIrr(3, -2, 2) ** 20
-    assert v < Fraction(1, 1 << 48)
-    lo = _lower_pos(v)
-    assert 0 < lo <= v
-    with pytest.raises(ValueError):
-        _lower_pos(-v)
+    # (3 - 2 sqrt 2)^20 = 1 / (3 + 2 sqrt 2)^20 is about 5e-16 < 2^-48;
+    # (1 + sqrt 2)/10^8 has its conjugate far from 0, where a bound through
+    # the norm and the conjugate loses a factor of about 6e4
+    for v in (QuadIrr(3, -2, 2) ** 20,
+              QuadIrr(Fraction(1, 10 ** 8), Fraction(1, 10 ** 8), 2)):
+        assert v < Fraction(1, 4096)
+        lo = _lower_pos(v)
+        assert 0 < lo <= v <= 2 * lo
+        with pytest.raises(ValueError):
+            _lower_pos(-v)
 
 
 def test_cocycle_defect_identity():
@@ -270,3 +284,83 @@ def test_dv_base_point_coboundary():
         combined = rhs + e_div.act(g) - e_div
         assert lhs.restrict_levels(GOLDEN.disc, 2, 1) == \
             combined.restrict_levels(GOLDEN.disc, 2, 1)
+
+
+THEOREM_B_DELTAS = [seg(Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), 3),
+                    seg(Fraction(2, 7), Fraction(1, 4), Fraction(9, 7), Fraction(5, 3))]
+
+
+def orbit_point(gamma, z, n):
+    """gamma^n . z."""
+    step = gamma if n >= 0 else mat_inv(gamma)
+    for _ in range(abs(n)):
+        z = moebius_point(step, z)
+    return z
+
+
+def scanned_inner_sums(delta, n0, n1, base, p, rep):
+    """(inner sum, unit-step sum) of each report point by the scan oracle,
+    at the report's base point y0."""
+    gamma = automorph(base, p).gamma
+    y0 = point_on_geodesic(base, Fraction(rep["t_y"]))
+    full = GSegment(orbit_point(gamma, y0, n0), orbit_point(gamma, y0, n1)) \
+        if n0 != n1 else None
+    unit = GSegment(y0, orbit_point(gamma, y0, 1))
+    out = []
+    for pt in rep["points"]:
+        beta = orbit_conjugator(base, QForm(*pt["form"]), p)
+        inner = scan_inner_sum(delta, full, beta, gamma) if full else 0
+        out.append((inner, scan_inner_sum(delta, unit, beta, gamma)))
+    return out
+
+
+def test_theorem_b_inner_sums_match_scan():
+    for disc in (5, 8, 12):
+        base = form_of_disc(disc)
+        for p in (2, 3):
+            for delta in THEOREM_B_DELTAS:
+                for n0, n1 in ((0, 1), (0, 3), (0, -2)):
+                    rep = theorem_b_chain_check(delta, n0, n1, base, p, 1)
+                    assert rep["points"], (disc, p, delta)
+                    got = [(pt["inner"], -pt["cross"]) for pt in rep["points"]]
+                    assert got == scanned_inner_sums(delta, n0, n1, base, p, rep)
+
+
+def test_theorem_b_far_tile():
+    # delta is a thin vertical segment meeting the golden geodesic inside
+    # the tile gamma^80 . [y0, gamma.y0], about 1.5e-133 wide: far beyond
+    # any fixed scan window around n = 0
+    base, p, ty = GOLDEN, 2, Fraction(1, 2)
+    aut = automorph(base, p)
+    y0 = point_on_geodesic(base, ty)
+    z80 = orbit_point(aut.gamma, y0, 80)
+    z81 = moebius_point(aut.gamma, z80)
+    scale = 10 ** 200
+    c = Fraction(floor_exact((z80.x + z81.x) * (scale // 2)), scale)
+    assert (c - z80.x) * (c - z81.x) < 0
+    delta = seg(c, Fraction(1, scale), c, 1)
+    cross = cross_segment(delta, base)
+    [pt] = _theorem_b_points(delta, 0, 1, base, aut, [(base, cross)], p, ty)
+    assert pt["inner"] == -cross == -1
+    assert pt["ok"] and pt["mfold_ok"] and pt["single_ok"]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(x0=st.fractions(-1, 2, max_denominator=40),
+       x1=st.fractions(-1, 2, max_denominator=40),
+       y0=st.fractions(Fraction(1, 10), 3, max_denominator=40),
+       y1=st.fractions(Fraction(1, 10), 3, max_denominator=40),
+       disc=st.sampled_from((5, 8, 12)), p=st.sampled_from((2, 3)),
+       n0=st.integers(-3, 3), n1=st.integers(-3, 3))
+def test_theorem_b_property(x0, x1, y0, y1, disc, p, n0, n1):
+    if (x0, y0) == (x1, y1):
+        reject()
+    delta = seg(x0, y0, x1, y1)
+    base = form_of_disc(disc)
+    try:
+        rep = theorem_b_chain_check(delta, n0, n1, base, p, 1)
+    except DegenerateEndpoint:
+        reject()  # a rational endpoint on an orbit geodesic
+    assert rep["all_ok"], rep
+    got = [(pt["inner"], -pt["cross"]) for pt in rep["points"]]
+    assert got == scanned_inner_sums(delta, n0, n1, base, p, rep)

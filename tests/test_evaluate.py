@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from rmlab.evaluate import (
     cross_cochain_eta,
     cross_cochain_kappa,
     pair_value,
-    report_to_json,
     table_value_fn,
     torsion_exponent,
     trivial_cocycle_value,
@@ -21,6 +21,7 @@ from rmlab.exact import PTower, QuadIrr
 from rmlab.hyperbolic import HPoint
 from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm, RMPoint, automorph, rm_discs_up_to, form_of_disc
+from tests_helpers_brute import mat_neg
 
 GOLDEN = QForm(1, -1, -1)
 SQRT2 = QForm(1, 0, -2)
@@ -129,6 +130,22 @@ def test_pair_value_eta_cross_product():
     assert got.eq_at_precision(expect)
 
 
+def test_eta_reads_any_signed_power():
+    # j2((1, 1), (1, h)) = 2^(-eta(h)) exposes the exponent n of h = +-gamma^n
+    gamma = automorph(SQRT2, 3).gamma
+    j2 = cross_cochain_eta(lambda g: Fraction(2), SQRT2, 3)
+    g70 = IDENT
+    for _ in range(70):
+        g70 = mat_mul(g70, gamma)
+    gi = mat_inv(gamma)
+    cases = [(IDENT, 0), (gamma, 1), (g70, 70), (mat_neg(gamma), 1),
+             (mat_mul(gi, mat_mul(gi, gi)), -3)]
+    for h, n in cases:
+        assert j2((IDENT, IDENT), (IDENT, h)) == Fraction(2) ** -n
+    with pytest.raises(ValueError):
+        j2((IDENT, IDENT), (IDENT, mat(1, 1, 0, 1)))
+
+
 def test_pair_value_kappa_cross_product():
     # a 2-cochain pulled back from the first factor caps to 1
     p, N = 3, 10
@@ -187,6 +204,6 @@ def test_antisym_experiment_smoke():
     assert rep["p"] == 3 and len(rep["steps"]) == 2
     # deterministic: identical reruns give identical reports
     rep2 = antisym_experiment(GOLDEN, SQRT2, 3, 10, levels=2, radius=3)
-    assert report_to_json(rep) == report_to_json(rep2)
+    assert json.dumps(rep, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     with pytest.raises(SameOrbit):
         antisym_experiment(GOLDEN, GOLDEN, 3, 10, levels=1)

@@ -16,12 +16,11 @@ from rmlab.hecke import (
     key_to_matrix,
     kudla_millson,
     right_coset_key,
-    tree_neighbor_count,
 )
 from rmlab.hyperbolic import GSegment, HPoint
 from rmlab.mat2 import from_ints, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm
-from tests_helpers_brute import coset_closure, km_hecke_route
+from tests_helpers_brute import coset_closure, km_hecke_route, tree_neighbor_count
 
 GOLDEN = QForm(1, -1, -1)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rmlab.errors import Inconsistent
-from rmlab.linalg import mat_mul, mat_vec, rational_eigenvalues
+from rmlab.linalg import mat_vec
 from rmlab.modsym import (
     atkin_lehner_matrix,
     build_space,
@@ -18,6 +18,7 @@ from rmlab.modsym import (
     path_vector,
     psi_pairing_check,
 )
+from tests_helpers_brute import mat_product, rational_eigenvalues
 
 
 def test_dimension_formula():
@@ -71,12 +72,12 @@ def test_hecke_commute_and_multiplicativity():
     t2 = hecke_matrix(2, basis).matrix
     t3 = hecke_matrix(3, basis).matrix
     t6 = hecke_matrix(6, basis).matrix
-    assert mat_mul(t2, t3) == t6
-    assert mat_mul(t2, t3) == mat_mul(t3, t2)
+    assert mat_product(t2, t3) == t6
+    assert mat_product(t2, t3) == mat_product(t3, t2)
     # relation (b) at l = 2: T_2 T_2 = T_4 + 2 T(2,2), and T(2,2) acts as
     # multiplication by 1 on weight-two symbols (trivial character)
     t4 = hecke_matrix(4, basis).matrix
-    lhs = mat_mul(t2, t2)
+    lhs = mat_product(t2, t2)
     ident = [[Fraction(int(i == j)) for j in range(basis.dim)]
              for i in range(basis.dim)]
     rhs = [[t4[i][j] + 2 * ident[i][j] for j in range(basis.dim)]
@@ -171,7 +172,7 @@ def test_atkin_lehner_tp_identity():
         # w_p is an involution
         ident = [[Fraction(int(i == j)) for j in range(basis.dim)]
                  for i in range(basis.dim)]
-        assert mat_mul(wp, wp) == ident
+        assert mat_product(wp, wp) == ident
 
 
 def test_path_vector_basics():

@@ -12,12 +12,13 @@ from rmlab.cocycles import (
     chain_segment,
     d1_value,
 )
-from rmlab.errors import MixedDiscriminant
-from rmlab.exact import QuadIrr, p_free, quad_sign, val_p
+from rmlab.errors import DegenerateConfiguration, Mismatch, MixedDiscriminant
+from rmlab.exact import QuadIrr, divisors, p_free, quad_sign, sigma1, val_p
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
-from rmlab.hyperbolic import cross_segment
+from rmlab.hyperbolic import cross_segment, ez_cross
 from rmlab.linalg import nullspace
 from rmlab.mat2 import (
+    IDENT,
     from_ints,
     mat,
     mat_det,
@@ -236,3 +237,115 @@ def kernel_lines_nullspace(u: Quat):
         assert len(basis) == 1, f"kernel in B0 has dimension {len(basis)}"
         out.append(ProjLine(basis[0], "B0", u.alg))
     return out[0], out[1]
+
+
+def scan_inner_sum(delta, seg, beta, gamma) -> int:
+    """Sum over n of ez_cross(delta, seg, beta gamma^n) by a scan.
+
+    The nonzero terms form one contiguous block (the translated segments
+    slide monotonically along the geodesic), so the scan starts at 0,
+    spirals outward to the first nonzero value within |n| <= 64 (0 when
+    there is none), then walks both ways until two consecutive zeros flank
+    the block."""
+    powers = {0: IDENT}
+    vals: dict[int, int] = {}
+
+    def power(n: int):
+        if n not in powers:
+            step = gamma if n > 0 else mat_inv(gamma)
+            powers[n] = mat_mul(power(n - 1 if n > 0 else n + 1), step)
+        return powers[n]
+
+    def val(n: int) -> int:
+        if n not in vals:
+            vals[n] = ez_cross(delta, seg, mat_mul(beta, power(n)))
+        return vals[n]
+
+    center = next((n for i in range(65) for n in (i, -i) if val(n) != 0), None)
+    if center is None:
+        return 0
+    lo = hi = center
+    while val(hi + 1) != 0 or val(hi + 2) != 0:
+        hi += 1
+    while val(lo - 1) != 0 or val(lo - 2) != 0:
+        lo -= 1
+    if any(val(n) == 0 for n in range(lo, hi + 1)):
+        raise DegenerateConfiguration("crossing block not contiguous")
+    return sum(val(n) for n in range(lo, hi + 1))
+
+
+def mat_neg(m):
+    return ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
+
+
+def tree_neighbor_count(n: int, p: int) -> int:
+    """Lattice-count oracle: sublattices of index n (= sigma_1) and the
+    p+1 tree neighbors for n = p."""
+    if n == p:
+        return p + 1
+    return sigma1(n)
+
+
+def mat_product(a: list[list], b: list[list]) -> list[list]:
+    """Product of two matrices given as lists of rows."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def charpoly(a: list[list[Fraction]]) -> list[Fraction]:
+    """Characteristic polynomial coefficients [c0, ..., cn] of det(xI - A),
+    via the Faddeev-LeVerrier recursion (exact over Q)."""
+    n = len(a)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = mat_product(a, m)
+        c = -Fraction(sum(m[i][i] for i in range(n)), k)
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
+    """All rational roots of the characteristic polynomial, with multiplicity."""
+    coeffs = charpoly(a)
+    # clear denominators to an integer polynomial
+    den = math.lcm(*(c.denominator for c in coeffs))
+    poly = [int(c * den) for c in coeffs]
+    roots: list[Fraction] = []
+
+    def eval_poly(p, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    def candidates(p):
+        const = next((c for c in p if c != 0), None)
+        if const is None:
+            return [Fraction(0)]
+        cands = {Fraction(0)}
+        for r in divisors(abs(const.numerator)):
+            for s in divisors(abs(p[-1].numerator)):
+                cands.add(Fraction(r, s))
+                cands.add(Fraction(-r, s))
+        return cands
+
+    while len(poly) > 1:
+        root = next((x for x in candidates(poly) if eval_poly(poly, x) == 0), None)
+        if root is None:
+            break
+        roots.append(root)
+        # synthetic division by (x - root)
+        out = [Fraction(0)] * (len(poly) - 1)
+        acc = Fraction(0)
+        for i in range(len(poly) - 1, 0, -1):
+            acc = poly[i] + acc * root
+            out[i - 1] = acc
+        rem = poly[0] + acc * root
+        if rem != 0:
+            raise Mismatch("synthetic division left a remainder")
+        poly = out
+    return roots
