@@ -11,4 +11,4 @@ __version__ = "0.1.0"
 
 from .errors import RmlabError  # noqa: F401
 from .exact import PTower, QuadIrr, Rat  # noqa: F401
-from .rmpoints import QForm, RMPoint  # noqa: F401
+from .rmpoints import QForm  # noqa: F401

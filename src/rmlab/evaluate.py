@@ -24,7 +24,7 @@ from .errors import (
 from .exact import PTower, QuadIrr, frac_is_square, quad_sign
 from .hyperbolic import HPoint
 from .mat2 import IDENT, Mat
-from .rmpoints import QForm, RMPoint, automorph, is_rm_for, orbit_equivalent
+from .rmpoints import QForm, automorph, is_rm_for, orbit_equivalent
 
 
 def _mat_key(g: Mat):
@@ -90,34 +90,32 @@ def table_value_fn(table: CocycleTable, at: QuadIrr, p: int, N: int,
     return fn
 
 
-def value_at(table: CocycleTable, tau: RMPoint | QForm, p: int, N: int,
+def value_at(table: CocycleTable, tau: QForm, p: int, N: int,
              D1: int | None = None, D2: int | None = None) -> PTower:
     """J(gamma_tau)(tau): the table's product at the automorph of tau,
     evaluated at tau.  The tower slots default to (disc tau, disc of the
     factors); pass both explicitly to keep several values in one tower."""
-    form = tau.form if isinstance(tau, RMPoint) else tau
-    if not is_rm_for(form, p):
+    if not is_rm_for(tau, p):
         raise SameOrbit(f"tau is not an RM point for p={p}")
-    aut = automorph(form, p)
+    aut = automorph(tau, p)
     forms = _forms(table.factors_for(aut.gamma))
     if D1 is None:
-        D1 = form.disc
+        D1 = tau.disc
     if D2 is None:
         D2 = forms[0].disc if forms else 0
     for f in forms:
-        if orbit_equivalent(f, form, p):
+        if orbit_equivalent(f, tau, p):
             raise NotRegular("a factor root lies in the orbit of tau")
-    return table_value_fn(table, form.root(), p, N, D1, D2)(aut.gamma)
+    return table_value_fn(table, tau.root(), p, N, D1, D2)(aut.gamma)
 
 
-def trivial_cocycle_value(tau: RMPoint | QForm, p: int, N: int) -> PTower:
+def trivial_cocycle_value(tau: QForm, p: int, N: int) -> PTower:
     """Value at tau of the cocycle (a b; c d) -> c z + d: equals the
     fundamental automorph unit of tau embedded in the tower."""
-    form = tau.form if isinstance(tau, RMPoint) else tau
-    aut = automorph(form, p)
+    aut = automorph(tau, p)
     c, d = aut.gamma[1]
-    val = form.root() * c + d
-    D1 = form.disc
+    val = tau.root() * c + d
+    D1 = tau.disc
     return _embed(val if isinstance(val, QuadIrr) else QuadIrr(val, 0, D1),
                   p, N, D1, 0)
 

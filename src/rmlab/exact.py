@@ -419,7 +419,7 @@ class PTower:
 
     __slots__ = ("p", "prec", "D1", "D2", "coeffs", "shift", "zero")
 
-    def __init__(self, p, prec, D1, D2, coeffs, shift=0, _normalize=True):
+    def __init__(self, p, prec, D1, D2, coeffs, shift=0):
         if prec < 1:
             raise PrecisionExhausted("no significant digits left")
         object.__setattr__(self, "p", p)
@@ -430,24 +430,23 @@ class PTower:
             raise ValueError("x-coordinates present but the x-factor is absent")
         if D2 == 0 and (c[2] or c[3]):
             raise ValueError("y-coordinates present but the y-factor is absent")
-        if _normalize:
+        m = p ** prec
+        c = [x % m for x in c]
+        if all(x == 0 for x in c):
+            object.__setattr__(self, "zero", True)
+            object.__setattr__(self, "prec", prec)
+            object.__setattr__(self, "coeffs", (0, 0, 0, 0))
+            object.__setattr__(self, "shift", shift)
+            return
+        v = min(val_p(x, p) for x in c if x != 0)
+        if v > 0:
+            c = [x // p ** v for x in c]
+            prec -= v
+            shift += v
+            if prec < 1:
+                raise PrecisionExhausted("normalization ate every digit")
             m = p ** prec
             c = [x % m for x in c]
-            if all(x == 0 for x in c):
-                object.__setattr__(self, "zero", True)
-                object.__setattr__(self, "prec", prec)
-                object.__setattr__(self, "coeffs", (0, 0, 0, 0))
-                object.__setattr__(self, "shift", shift)
-                return
-            v = min(val_p(x, p) for x in c if x != 0)
-            if v > 0:
-                c = [x // p ** v for x in c]
-                prec -= v
-                shift += v
-                if prec < 1:
-                    raise PrecisionExhausted("normalization ate every digit")
-                m = p ** prec
-                c = [x % m for x in c]
         object.__setattr__(self, "zero", False)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "coeffs", tuple(c))
@@ -556,8 +555,7 @@ class PTower:
 
     def __neg__(self):
         return PTower(self.p, self.prec, self.D1, self.D2,
-                      [-c for c in self.coeffs], self.shift, _normalize=not self.zero) \
-            if not self.zero else self
+                      [-c for c in self.coeffs], self.shift)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -593,12 +591,12 @@ class PTower:
     def conj_x(self) -> "PTower":
         c0, c1, c2, c3 = self.coeffs
         return PTower(self.p, self.prec, self.D1, self.D2,
-                      (c0, -c1, c2, -c3), self.shift, _normalize=not self.zero)
+                      (c0, -c1, c2, -c3), self.shift)
 
     def conj_y(self) -> "PTower":
         c0, c1, c2, c3 = self.coeffs
         return PTower(self.p, self.prec, self.D1, self.D2,
-                      (c0, c1, -c2, -c3), self.shift, _normalize=not self.zero)
+                      (c0, c1, -c2, -c3), self.shift)
 
     def algebra_norm(self) -> "PTower":
         """Product of the element with its three tower conjugates: a scalar."""

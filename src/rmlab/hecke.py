@@ -102,11 +102,7 @@ def key_to_matrix(key, p: int) -> Mat:
 def double_coset_label(g: Mat, p: int):
     """(e1, e2, t): p-free elementary divisors over Z[1/p] and val_p(det)."""
     det = mat_det(g)
-    k = 0
-    for row in g:
-        for e in row:
-            if e != 0:
-                k = max(k, -val_p(e, p))
+    k = p_exponent(g, p)
     ints = [int(e * p ** k) for row in g for e in row]
     gcd_all = 0
     for v in ints:

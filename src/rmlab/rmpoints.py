@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import DoesNotStabilize, Mismatch, NotRM
 from .exact import QuadIrr, is_square_int, kronecker, p_free, quad_sign, square_core, val_p
 from .mat2 import (
-    IDENT,
     Mat,
     mat,
     mat_det,
@@ -85,19 +84,6 @@ class QForm:
 
 
 @dataclass(frozen=True)
-class RMPoint:
-    form: QForm
-
-    @property
-    def root(self) -> QuadIrr:
-        return self.form.root()
-
-    @property
-    def disc(self) -> int:
-        return self.form.disc
-
-
-@dataclass(frozen=True)
 class Automorph:
     gamma: Mat
     eps: QuadIrr
@@ -138,8 +124,9 @@ def _is_reduced(f: QForm) -> bool:
     return 0 < f.B <= s and f.B + 2 * abs(f.A) > s and 2 * abs(f.A) - f.B <= s
 
 
-def _rho(f: QForm) -> tuple[QForm, Mat]:
-    """One reduction step; returns (new form, T) with root(new) = T^-1 root(f).
+def _rho(f: QForm) -> tuple[QForm, int]:
+    """One reduction step; returns (new form, t) with root(new) = T^-1 root(f)
+    for T = (0, -1; 1, t).
 
     The residue r = -B mod 2|C| is taken in (sqrt(D) - 2|C|, sqrt(D)) when
     |C| < sqrt(D), and absolutely least otherwise (standard indefinite
@@ -159,37 +146,38 @@ def _rho(f: QForm) -> tuple[QForm, Mat]:
     t = (B2 + B) // (2 * C)
     C2 = (B2 * B2 - f.disc) // (4 * C)
     g = math.gcd(math.gcd(abs(C), abs(B2)), abs(C2))
-    T = mat(0, -1, 1, t)
-    return QForm(C // g, B2 // g, C2 // g), T
+    return QForm(C // g, B2 // g, C2 // g), t
 
 
-def reduced_cycle(f: QForm) -> tuple[list[QForm], dict[QForm, Mat]]:
-    """The cycle of reduced forms equivalent to f, plus, for each member,
-    a matrix sending root(f) to its root.
+def _reduction_walk(f: QForm) -> tuple[list[QForm], list[int], int]:
+    """The forms rho visits from f into its cycle of reduced forms and once
+    round it (the last equals the one at the returned start index), with
+    the integer step t taken out of each.
 
     rho maps reduced forms bijectively around the cycle, so the first
     reduced form reached already lies on it."""
-    cur, conj = f, IDENT
+    forms, steps = [f], []
     guard = 4 * f.disc + 64
-    while not _is_reduced(cur):
-        nxt, T = _rho(cur)
-        conj = mat_mul(mat_inv(T), conj)
-        cur = nxt
+    while not _is_reduced(forms[-1]):
+        nxt, t = _rho(forms[-1])
+        forms.append(nxt)
+        steps.append(t)
         guard -= 1
         if guard < 0:  # pragma: no cover
             raise Mismatch("reduction did not terminate")
-    start, w = cur, conj
-    cyc = [start]
-    witnesses = {start: w}
+    start = len(steps)
     while True:
-        nxt, T = _rho(cur)
-        conj = mat_mul(mat_inv(T), conj)
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        witnesses[nxt] = conj
-        cur = nxt
-    return cyc, witnesses
+        nxt, t = _rho(forms[-1])
+        forms.append(nxt)
+        steps.append(t)
+        if nxt == forms[start]:
+            return forms, steps, start
+
+
+def reduced_cycle(f: QForm) -> list[QForm]:
+    """The cycle of reduced forms equivalent to f."""
+    forms, _, start = _reduction_walk(f)
+    return forms[start:-1]
 
 
 _CLASS_KEY_CACHE: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -202,7 +190,7 @@ def class_key(f: QForm) -> tuple[int, int, int]:
     hit = _CLASS_KEY_CACHE.get(t)
     if hit is not None:
         return hit
-    cyc, _ = reduced_cycle(f)
+    cyc = reduced_cycle(f)
     key = min(g.triple() for g in cyc)
     for g in cyc:
         _CLASS_KEY_CACHE[g.triple()] = key
@@ -211,10 +199,16 @@ def class_key(f: QForm) -> tuple[int, int, int]:
 
 
 def class_witness(f: QForm, target_triple: tuple[int, int, int]) -> Mat:
-    cyc, wit = reduced_cycle(f)
-    for g in cyc:
-        if g.triple() == target_triple:
-            return wit[g]
+    """A matrix w in SL2(Z) with w . root(f) = root of the member of f's
+    reduced cycle with the given triple: the inverse steps (t, 1; -1, 0)
+    of the walk up to that member, composed."""
+    forms, steps, start = _reduction_walk(f)
+    for j in range(start, len(steps)):
+        if forms[j].triple() == target_triple:
+            a, b, c, d = 1, 0, 0, 1
+            for t in steps[:j]:
+                a, b, c, d = t * a + c, t * b + d, -a, -b
+            return mat(a, b, c, d)
     raise Mismatch("target not in cycle")
 
 
@@ -231,16 +225,11 @@ def pell4_fundamental(D: int) -> tuple[int, int]:
     its stabilizer in SL2(Z) up to sign (Cohen, GTM 138, 5.7): M is
     +-((t - Bu)/2, -Cu; Au, (t + Bu)/2)^(+-1) for the fundamental solution.
     """
-    f = form_of_disc(D)
-    while not _is_reduced(f):
-        f, _ = _rho(f)
-    start, M = f, IDENT
-    while True:
-        f, T = _rho(f)
-        M = mat_mul(M, T)
-        if f == start:
-            break
-    return abs(int(M[0][0] + M[1][1])), abs(int(M[1][0] / start.A))
+    forms, steps, start = _reduction_walk(form_of_disc(D))
+    a, b, c, d = 1, 0, 0, 1
+    for t in steps[start:]:
+        a, b, c, d = b, t * b - a, d, t * d - c
+    return abs(a + d), abs(c // forms[start].A)
 
 
 def conductor(disc: int) -> tuple[int, int]:
@@ -282,9 +271,9 @@ def automorph(form: QForm, p: int) -> Automorph:
     return Automorph(gamma, eps)
 
 
-def lambda_of(gamma: Mat, point: RMPoint) -> QuadIrr:
+def lambda_of(gamma: Mat, form: QForm) -> QuadIrr:
     """Eigenvalue of gamma on the column (root, 1); gamma must fix the root."""
-    w = point.root
+    w = form.root()
     if moebius_quadirr(gamma, w) != w:
         raise DoesNotStabilize("matrix does not fix the point")
     return w * gamma[1][0] + gamma[1][1]
@@ -447,6 +436,8 @@ def rm_discs_up_to(bound: int, p: int) -> list[int]:
 
 def form_of_disc(d: int) -> QForm:
     """A primitive form of discriminant d (principal-type representative)."""
+    if d % 4 in (2, 3):
+        raise ValueError(f"{d} is not a discriminant")
     if d % 4 == 0:
         return QForm(1, 0, -d // 4)
     return QForm(1, 1, (1 - d) // 4)

@@ -20,7 +20,7 @@ from rmlab.evaluate import (
 from rmlab.exact import PTower, QuadIrr
 from rmlab.hyperbolic import HPoint
 from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
-from rmlab.rmpoints import QForm, RMPoint, automorph, rm_discs_up_to, form_of_disc
+from rmlab.rmpoints import QForm, automorph, rm_discs_up_to, form_of_disc
 from tests_helpers_brute import mat_neg
 
 GOLDEN = QForm(1, -1, -1)

@@ -214,6 +214,13 @@ def test_ptower_zero_divisor_detection():
         u.inverse()
 
 
+def test_ptower_conjugates_of_zero_are_zero():
+    z = PTower.zero_at(3, 5, 5, 8)
+    for w in (-z, z.conj_x(), z.conj_y(), z.conj_x().conj_y()):
+        assert w.is_zero()
+        assert w.valuation() == z.valuation() == 5
+
+
 def test_ptower_embedding_and_text():
     eps = QuadIrr(Fraction(3, 2), Fraction(1, 2), 5)
     e = PTower.from_quadirr(eps, 3, 10, 5, 0)

@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rmlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rmlab"
 
 
 def test_library_has_no_assert_statements():
@@ -25,3 +28,24 @@ def test_library_raises_only_typed_errors():
             if isinstance(exc, ast.Name) and exc.id in bare:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_perfbench_tracer_targets_exist():
+    # the benchmark's tracer rebinds these names; a rename would only
+    # surface in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _name, modname, paths, *_ in tracing.LAYERS:
+        module = importlib.import_module(modname)
+        for path in paths:
+            try:
+                owner, attr = tracing._resolve(module, path)
+                owner.__dict__[attr]  # what Tracer.install reads
+            except (AttributeError, KeyError):
+                missing.append(f"{modname}:{path}")
+    assert missing == []
+    assert isinstance(importlib.import_module("rmlab.rmpoints")._CLASS_KEY_CACHE, dict)
+    assert isinstance(importlib.import_module("rmlab.hecke")._COSET_CACHE, dict)

@@ -10,9 +10,9 @@ from rmlab.mat2 import mat, mat_det, mat_mul, moebius_quadirr
 from rmlab.rmpoints import (
     Automorph,
     QForm,
-    RMPoint,
     automorph,
     class_key,
+    class_witness,
     conductor,
     form_apply,
     form_of_disc,
@@ -128,16 +128,15 @@ def test_automorph_oracle_checks_its_input():
 
 
 def test_lambda_of():
-    pt = RMPoint(GOLDEN)
-    assert lambda_of(mat(1, 0, 0, 1), pt) == 1
+    assert lambda_of(mat(1, 0, 0, 1), GOLDEN) == 1
     a = automorph(GOLDEN, 2)
-    lam = lambda_of(a.gamma, pt)
+    lam = lambda_of(a.gamma, GOLDEN)
     assert lam == a.eps
-    assert lam == pt.root + 1  # (3+sqrt5)/2 = omega + 1
+    assert lam == GOLDEN.root() + 1  # (3+sqrt5)/2 = omega + 1
     g2 = mat_mul(a.gamma, a.gamma)
-    assert lambda_of(g2, pt) == lam * lam
+    assert lambda_of(g2, GOLDEN) == lam * lam
     with pytest.raises(DoesNotStabilize):
-        lambda_of(mat(1, 1, 0, 1), pt)
+        lambda_of(mat(1, 1, 0, 1), GOLDEN)
 
 
 def test_pell_and_conductor():
@@ -146,6 +145,15 @@ def test_pell_and_conductor():
     assert conductor(20) == (5, 2)
     assert conductor(8) == (8, 1)
     assert conductor(45) == (5, 3)
+
+
+def test_form_of_disc_rejects_non_discriminants():
+    for d in (10, 11, 14, 15):
+        with pytest.raises(ValueError):
+            form_of_disc(d)
+        with pytest.raises(ValueError):
+            pell4_fundamental(d)
+    assert form_of_disc(12).disc == 12 and form_of_disc(13).disc == 13
 
 
 def test_pell_cycle_matches_linear_scan():
@@ -178,11 +186,11 @@ def test_automorph_large_units():
 
 def test_reduced_cycle_closes():
     for f in (GOLDEN, SQRT2, QForm(3, 2, -4), QForm(1, 4, -1)):
-        cyc, wit = reduced_cycle(f)
+        cyc = reduced_cycle(f)
         assert cyc, "cycle must be nonempty"
         for g in cyc:
             assert g.disc == f.disc
-            w = wit[g]
+            w = class_witness(f, g.triple())
             assert moebius_quadirr(w, f.root()) == g.root()
 
 
