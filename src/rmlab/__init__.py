@@ -10,5 +10,5 @@ antisymmetry experiment, all over exact arithmetic.
 __version__ = "0.1.0"
 
 from .errors import RmlabError  # noqa: F401
-from .exact import PTower, QuadIrr, Rat  # noqa: F401
+from .exact import PTower, QuadIrr  # noqa: F401
 from .rmpoints import QForm  # noqa: F401

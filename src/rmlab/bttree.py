@@ -91,12 +91,6 @@ def vertex_matrix(v: TVertex, p: int) -> Mat:
     return mat(Fraction(p) ** v.k, v.u, 0, 1)
 
 
-def vertex_of_lattice(c1, c2, p: int) -> TVertex:
-    """Normal form of the class of the lattice Z_p c1 + Z_p c2, for columns
-    with rational entries and nonzero determinant."""
-    return vertex_of_columns([c1, c2], p)
-
-
 def vertex_of_columns(cols, p: int) -> TVertex:
     """Normal form of the class of the Z_p-span of a list of columns of
     rank two (local Hermite reduction)."""
@@ -152,7 +146,7 @@ def vertex_parity(v: TVertex) -> int:
 
 def act_vertex(g: Mat, v: TVertex, p: int) -> TVertex:
     m = mat_mul(g, vertex_matrix(v, p))
-    return vertex_of_lattice((m[0][0], m[1][0]), (m[0][1], m[1][1]), p)
+    return vertex_of_columns([(m[0][0], m[1][0]), (m[0][1], m[1][1])], p)
 
 
 def vertex_witness(v: TVertex, p: int) -> Mat:

@@ -21,7 +21,6 @@ from .hyperbolic import (
     GSegment,
     HPoint,
     _form_value_sign,
-    carrying_coeffs,
     enumerate_crossing_orbit,
     ez_cross,
     moebius_point,
@@ -35,6 +34,7 @@ from .mat2 import (
     mat_mul,
     p_exponent,
     primitive_integral,
+    pull_back,
 )
 from .rmpoints import QForm, automorph, form_apply, is_rm_for, orbit_conjugator
 
@@ -290,7 +290,7 @@ def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     x_hi = max(_upper(x) for x in xs)
     y_lo = min(_lower_pos(y) for y in ys)
     y_hi = max(_upper(y) for y in ys)
-    A, B, C = carrying_coeffs(seg)
+    A, B, C = seg.coeffs
     if A != 0:
         x_apex = -B / (2 * A)
         inside = _lower(x_apex) <= x_hi and x_lo <= _upper(x_apex)
@@ -425,11 +425,12 @@ def _crossing_tile(delta: GSegment, beta: Mat, gamma: Mat, y0: HPoint) -> int:
 
     The tiles cover the orbit geodesic end to end and a support form's
     geodesic meets delta's carrying geodesic exactly once, so the points
-    beta gamma^n . y0 change side of the latter exactly once; the walk
-    steps both ways from n = 0 by beta gamma beta^-1 until they do."""
-    coeffs = carrying_coeffs(delta)
-    up = mat_mul(mat_mul(beta, gamma), mat_inv(beta))
-    down = mat_inv(up)
+    beta gamma^n . y0 change side of the latter exactly once.  The side of
+    beta.z on delta's geodesic is the side of z on its pull-back by beta,
+    so the walk steps the points gamma^n . y0 both ways from n = 0 until
+    they do."""
+    coeffs = pull_back(delta.coeffs, beta)
+    down = mat_inv(gamma)
 
     def side_of(z: HPoint) -> int:
         s = _form_value_sign(coeffs, delta.D, z)
@@ -437,10 +438,10 @@ def _crossing_tile(delta: GSegment, beta: Mat, gamma: Mat, y0: HPoint) -> int:
             raise DegenerateConfiguration("tile endpoint on the carrying geodesic")
         return s
 
-    z_up = z_down = moebius_point(beta, y0)
-    s0 = side_of(z_up)
+    z_up = z_down = y0
+    s0 = side_of(y0)
     for k in itertools.count(1):
-        z_up = moebius_point(up, z_up)
+        z_up = moebius_point(gamma, z_up)
         if side_of(z_up) != s0:
             return k - 1
         z_down = moebius_point(down, z_down)

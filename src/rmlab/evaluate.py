@@ -255,8 +255,11 @@ def antisym_experiment(f1: QForm, f2: QForm, p: int, N: int, levels: int,
                 if prod.abs_prec >= N:
                     break
                 n_int += N - prod.abs_prec + 4
-            if prod is None:
-                raise err
+            else:
+                if prod is None:
+                    raise err
+                raise PrecisionExhausted(
+                    f"no working precision up to {n_int} gives {N} digits")
             defect = _defect_valuation(prod, eps_t, eps_o, radius)
             row = {"level": k, "defect": min(defect, N),
                    "working_precision": n_int,

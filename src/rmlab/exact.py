@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import Mismatch, MixedDiscriminant, NotInvertible, PrecisionExhausted
 
-Rat = Fraction  # canonical name used in signatures
 _F0 = Fraction(0)
 
 

@@ -7,14 +7,22 @@ with u, v, e in one real quadratic field.
 
 Sign conventions, frozen once for the whole package:
 
-* side(f, z) is the sign of A(x^2+y^2) + Bx + C for the form f = (A, B, C);
-  the geodesic of f is oriented from its conjugate root to its root.
+* A geodesic is its coefficient triple (A, B, C), the curve
+  A(x^2+y^2) + Bx + C = 0; side(f, z) is the sign of that expression for
+  the form f = (A, B, C), whose geodesic runs from its conjugate root to
+  its root.  A segment's triple seg.coeffs is positive on the right of its
+  travel: z -> (x, x^2+y^2) preserves orientation and maps it to a line.
+* mat2.pull_back(F, m) has at z the sign F has at m.z; pull_back(F, adj g)
+  carries g applied to F's geodesic, with the same right side.
 * cross_segment(seg, f) = (side(f, end) - side(f, start)) / 2.
 * ez_cross(s1, s2, g) is the sign of det(dir s1, dir g.s2) at the unique
   transversal crossing; equivalently minus the counterclockwise winding
-  of the boundary difference loop of the product square.  This choice
-  makes the translated-segment sum identity come out as -(n1 - n0) times
-  the plain crossing number (see cocycles.theorem_b_chain_check).
+  of the boundary difference loop of the product square.  With b the side
+  of s1's end on T = pull_back(s2.coeffs, adj g) and d that of g.s2's end
+  on S = s1.coeffs, it is -b d sign(A_T B_S - A_S B_T), which is b for
+  these right-positive triples.  This choice makes the translated-segment
+  sum identity come out as -(n1 - n0) times the plain crossing number
+  (see cocycles.theorem_b_chain_check).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import (
     SamplesExhausted,
 )
 from .exact import QuadIrr, floor_exact, quad_sign, sign_plus_root, square_core
-from .mat2 import Mat, mat_det
+from .mat2 import Mat, mat_adj, mat_det, pull_back
 from .rmpoints import QForm, in_orbit_component
 from .rmpoints import _orbit_bfs, class_key  # noqa: F401 - perfbench rebinds both here
 
@@ -117,9 +125,10 @@ def moebius_point(g: Mat, z: HPoint) -> HPoint:
 
 class GSegment:
     """Oriented geodesic segment between two distinct points; D is the
-    field of both endpoints, as for HPoint."""
+    field of both endpoints, as for HPoint, and coeffs the triple of the
+    geodesic through both, positive on the right of z0 -> z1."""
 
-    __slots__ = ("z0", "z1", "D")
+    __slots__ = ("z0", "z1", "D", "coeffs")
 
     def __init__(self, z0: HPoint, z1: HPoint):
         if z0 == z1:
@@ -128,6 +137,9 @@ class GSegment:
         object.__setattr__(self, "z1", z1)
         # raises on incompatible towers
         object.__setattr__(self, "D", _join_fields(z0.D, z1.D))
+        n0, n1 = z0.n, z1.n
+        object.__setattr__(self, "coeffs",
+                           (z0.x - z1.x, n1 - n0, n0 * z1.x - n1 * z0.x))
 
     def __setattr__(self, *args):
         raise AttributeError("GSegment is immutable")
@@ -163,17 +175,21 @@ def point_on_geodesic(form: QForm, t: Fraction) -> HPoint:
 # side and crossing predicates
 
 
+def _two_fields(E: int | None, D: int | None) -> bool:
+    """Q(sqrt E) and Q(sqrt D) differ (None is Q): a value built from both
+    is then decided as u + v sqrt(D) with u, v over Q(sqrt E)."""
+    return (E is not None and D is not None and E != D
+            and square_core(E)[0] != square_core(D)[0])
+
+
 def _form_value_sign(coeffs, E: int | None, z: HPoint) -> int:
     """Exact sign of A(x^2+y^2) + Bx + C for coefficients in Q(sqrt E) and
     a point over its own field."""
     A, B, C = coeffs
     D, x, n = z.D, z.x, z.n
-    if E is None or D is None or E == D or square_core(E)[0] == square_core(D)[0]:
+    if not _two_fields(E, D):
         return quad_sign(A * n + B * x + C)
-    # genuinely mixed tower: write the value as u + v sqrt(D) over Q(sqrt E)
-    u = A * n.a + B * x.a + C
-    v = A * n.b + B * x.b
-    return sign_plus_root(u, v, D)
+    return sign_plus_root(A * n.a + B * x.a + C, A * n.b + B * x.b, D)
 
 
 def side(f: QForm, z: HPoint) -> int:
@@ -192,39 +208,6 @@ def cross_segment(seg: GSegment, f: QForm) -> int:
     return (s1 - s0) // 2
 
 
-# carrying geodesic of a segment: A(x^2+y^2) + Bx + C = 0 through both points
-
-
-def carrying_coeffs(seg: GSegment):
-    z0, z1 = seg.z0, seg.z1
-    n0, n1 = z0.n, z1.n
-    A = z0.x - z1.x
-    B = n1 - n0
-    C = n0 * z1.x - n1 * z0.x
-    if A == 0:
-        # vertical line x = x0: normalize to (0, 1, -x0)
-        return (A * 0, A * 0 + 1, -z0.x)
-    return (A, B, C)
-
-
-def _tangent_at(coeffs, z: HPoint):
-    """Direction (2Ay, -(2Ax+B)) of the carrying circle at a point on it."""
-    A, B, _ = coeffs
-    return (2 * A * z.y, -(2 * A * z.x + B))
-
-
-def _travel_sign(seg: GSegment, coeffs) -> int:
-    """Sign s such that s * tangent points from z0 toward z1 along the arc
-    carried by coeffs = carrying_coeffs(seg)."""
-    tx, ty = _tangent_at(coeffs, seg.z0)
-    dx = seg.z1.x - seg.z0.x
-    dy = seg.z1.y - seg.z0.y
-    s = quad_sign(tx * dx + ty * dy)
-    if s == 0:
-        raise DegenerateConfiguration("tangent orthogonal to chord")
-    return s
-
-
 def _proportional(c1, c2) -> bool:
     a1, b1, g1 = c1
     a2, b2, g2 = c2
@@ -241,37 +224,38 @@ def _x_overlap(seg1: GSegment, seg2: GSegment) -> bool:
 
 
 def _lt(a, b) -> bool:
-    d = b - a
-    return quad_sign(d) > 0
+    """a < b, for a and b each in its own quadratic field."""
+    D = _field_of(b)
+    if not _two_fields(_field_of(a), D):
+        return quad_sign(b - a) > 0
+    return sign_plus_root(b.a - a, b.b, D) > 0
 
 
 def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     """Homology class of the boundary of the product square of seg1 and
     g . seg2 in the punctured product: 0 when the segments are disjoint,
     otherwise the orientation sign of (dir seg1, dir g.seg2) at the
-    unique transversal crossing."""
+    unique transversal crossing.  Both geodesics move as triples, so no
+    point moves unless the two segments share their geodesic."""
     if mat_det(g) <= 0:
         raise ValueError("need positive determinant")
-    t = seg2.transported(g)
-    cs = carrying_coeffs(seg1)
-    ct = carrying_coeffs(t)
-    if _proportional(cs, ct):
-        if _x_overlap(seg1, t):
+    moved = pull_back(seg2.coeffs, mat_adj(g))  # the geodesic of g.seg2
+    a = _form_value_sign(moved, seg2.D, seg1.z0)
+    b = _form_value_sign(moved, seg2.D, seg1.z1)
+    if a * b > 0:
+        return 0  # seg1 strictly misses the geodesic of g.seg2
+    if a == 0 and b == 0:  # two points of seg1 on it: one geodesic
+        if _x_overlap(seg1, seg2.transported(g)):
             raise DegenerateConfiguration("segments share their geodesic")
         return 0
-    a = _form_value_sign(ct, t.D, seg1.z0)
-    b = _form_value_sign(ct, t.D, seg1.z1)
-    c = _form_value_sign(cs, seg1.D, t.z0)
-    d = _form_value_sign(cs, seg1.D, t.z1)
-    if a * b > 0 or c * d > 0:
-        return 0  # one segment strictly misses the other's geodesic
+    back = pull_back(seg1.coeffs, g)  # read at seg2: sides of g.seg2's ends
+    c = _form_value_sign(back, seg1.D, seg2.z0)
+    d = _form_value_sign(back, seg1.D, seg2.z1)
+    if c * d > 0:
+        return 0  # g.seg2 strictly misses seg1's geodesic
     if 0 in (a, b, c, d):
         raise DegenerateConfiguration("segment endpoint on the other geodesic")
-    w = ct[0] * cs[1] - cs[0] * ct[1]
-    sw = quad_sign(w)
-    if sw == 0:  # concentric circles or parallel verticals cannot cross
-        raise DegenerateConfiguration("tangent configuration")
-    return _travel_sign(seg1, cs) * _travel_sign(t, ct) * sw
+    return b  # seg1 ends on the right of g.seg2: det(dir seg1, dir g.seg2) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +281,10 @@ class _Piece:
 def _loop_pieces(seg1: GSegment, t: GSegment) -> list[_Piece]:
     """The four sides of the product square under (z, w) -> z - w, traversed
     counterclockwise in the parameter square."""
-    cs = carrying_coeffs(seg1)
-    ct = carrying_coeffs(t)
+    cs, ct = seg1.coeffs, t.coeffs
 
     def param(seg, z):
-        return z.y if carrying_coeffs(seg)[0] == 0 else z.x
+        return z.y if seg.coeffs[0] == 0 else z.x
 
     s_a, s_b = param(seg1, seg1.z0), param(seg1, seg1.z1)
     t_a, t_b = param(t, t.z0), param(t, t.z1)
@@ -412,9 +395,7 @@ def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     if mat_det(g) <= 0:
         raise ValueError("need positive determinant")
     t = seg2.transported(g)
-    cs = carrying_coeffs(seg1)
-    ct = carrying_coeffs(t)
-    if _proportional(cs, ct):
+    if _proportional(seg1.coeffs, t.coeffs):
         if _x_overlap(seg1, t):
             raise DegenerateConfiguration("segments share their geodesic")
         return 0

@@ -41,6 +41,24 @@ def mat_inv(m: Mat) -> Mat:
     return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
 
 
+def mat_adj(m: Mat) -> Mat:
+    """(d, -b; -c, a): det(m) times the inverse, the same Moebius map."""
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+
+def pull_back(coeffs, m: Mat):
+    """The triple of F(m.z) |cz + d|^2 for F(z) = A|z|^2 + B Re z + C and
+    coeffs = (A, B, C), the Hermitian form m^T (A, B/2; B/2, C) m: its sign
+    at z is the sign of F at m.z, so it carries m^-1 applied to F's
+    geodesic.  The coefficients may be ints, Fractions or QuadIrr values."""
+    A, B, C = coeffs
+    (a, b), (c, d) = m
+    p, q, r, s = A * a, A * b, C * c, C * d
+    return (a * (p + B * c) + c * r,
+            2 * (a * q + c * s) + B * (a * d + b * c),
+            b * (q + B * d) + d * s)
+
+
 def mat_scale(m: Mat, c) -> Mat:
     c = Fraction(c)
     return ((m[0][0] * c, m[0][1] * c), (m[1][0] * c, m[1][1] * c))

@@ -17,12 +17,14 @@ from .exact import QuadIrr, is_square_int, kronecker, p_free, quad_sign, square_
 from .mat2 import (
     Mat,
     mat,
+    mat_adj,
     mat_det,
     mat_inv,
     mat_mul,
     mat_scale,
     moebius_quadirr,
     primitive_integral,
+    pull_back,
 )
 
 
@@ -55,9 +57,6 @@ class QForm:
 
     def conj_root(self) -> QuadIrr:
         return QuadIrr(Fraction(-self.B, 2 * self.A), Fraction(-1, 2 * self.A), self.disc)
-
-    def value(self, x, y):
-        return self.A * x * x + self.B * x * y + self.C * y * y
 
     def __neg__(self) -> "QForm":
         return QForm(-self.A, -self.B, -self.C)
@@ -110,12 +109,9 @@ def form_apply(g: Mat, f: QForm) -> QForm:
     if mat_det(g) <= 0:
         raise ValueError("determinant must be positive")
     a, b, c, d = primitive_integral(g)
-    A, B, C = f.triple()
-    A2 = f.value(d, -c)
-    B2 = -2 * A * b * d + B * (a * d + b * c) - 2 * C * a * c
-    C2 = f.value(-b, a)
-    g0 = math.gcd(math.gcd(abs(A2), abs(B2)), abs(C2))
-    return QForm(A2 // g0, B2 // g0, C2 // g0)
+    A, B, C = pull_back(f.triple(), mat_adj(((a, b), (c, d))))
+    g0 = math.gcd(A, B, C)
+    return QForm(A // g0, B // g0, C // g0)
 
 
 def _is_reduced(f: QForm) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rmlab.cocycles import RMDivisor, dv_value
-from rmlab.errors import NotRegular, SameOrbit
+from rmlab.errors import NotRegular, PrecisionExhausted, SameOrbit
 from rmlab.evaluate import (
     CocycleTable,
     antisym_experiment,
@@ -17,6 +17,7 @@ from rmlab.evaluate import (
     truncated_theta_table,
     value_at,
 )
+import rmlab.evaluate as evaluate
 from rmlab.exact import PTower, QuadIrr
 from rmlab.hyperbolic import HPoint
 from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
@@ -207,3 +208,11 @@ def test_antisym_experiment_smoke():
     assert json.dumps(rep, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     with pytest.raises(SameOrbit):
         antisym_experiment(GOLDEN, GOLDEN, 3, 10, levels=1)
+
+
+def test_antisym_experiment_raises_when_precision_never_suffices(monkeypatch):
+    # every escalation returns two digits: the report must not carry them
+    monkeypatch.setattr(evaluate, "value_at",
+                        lambda table, form, p, n, D1, D2: PTower.one(p, 2, D1, D2))
+    with pytest.raises(PrecisionExhausted):
+        antisym_experiment(GOLDEN, SQRT2, 3, 10, levels=1, radius=1)

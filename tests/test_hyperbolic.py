@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint, MixedDiscriminant
 from rmlab.exact import QuadIrr, floor_exact
 from rmlab.hyperbolic import (
     GSegment,
     HPoint,
+    _form_value_sign,
     _seg_box,
-    carrying_coeffs,
     cross_segment,
     enumerate_crossing_orbit,
     ez_cross,
@@ -19,8 +21,9 @@ from rmlab.hyperbolic import (
     side,
     winding_oracle,
 )
-from rmlab.mat2 import mat, mat_inv, mat_mul
+from rmlab.mat2 import mat, mat_det, mat_inv, mat_mul, pull_back
 from rmlab.rmpoints import QForm, automorph, form_apply, orbit_equivalent
+from tests_helpers_brute import float_walk_crossing
 
 GOLDEN = QForm(1, -1, -1)
 APEX = point_on_geodesic(GOLDEN, 1)
@@ -171,20 +174,20 @@ def test_ez_cross_mixed_fields_reads_each_point_over_its_field():
     t = GSegment(HPoint(QuadIrr(0, Fraction(5, 2), 2), 6),
                  HPoint(QuadIrr(Fraction(-18, 5), Fraction(5, 2), 2), Fraction(24, 5)))
     ident = mat(1, 0, 0, 1)
-    assert carrying_coeffs(seg1) == (-3, 9, 102)
+    assert seg1.coeffs == (-3, 9, 102)
     assert ez_cross(seg1, t, ident) == 0
     assert ez_cross(t, seg1, ident) == 0
 
 
-def rand_segment(rng, irrational=False):
+def rand_segment(rng, field=None):
+    """A random segment, rational or with both endpoints over Q(sqrt field)."""
     while True:
         try:
-            if irrational:
-                d = rng.choice([2, 3, 5])
-                z0 = HPoint(QuadIrr(rng.randint(-3, 3), rng.randint(-2, 2), d),
-                            QuadIrr(rng.randint(1, 3), 0, d))
-                z1 = HPoint(QuadIrr(rng.randint(-3, 3), rng.randint(-2, 2), d),
-                            QuadIrr(rng.randint(1, 3), rng.randint(0, 1), d))
+            if field:
+                z0 = HPoint(QuadIrr(rng.randint(-3, 3), rng.randint(-2, 2), field),
+                            QuadIrr(rng.randint(1, 3), 0, field))
+                z1 = HPoint(QuadIrr(rng.randint(-3, 3), rng.randint(-2, 2), field),
+                            QuadIrr(rng.randint(1, 3), rng.randint(0, 1), field))
             else:
                 z0 = HPoint(Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(1, 30), 7))
                 z1 = HPoint(Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(1, 30), 7))
@@ -194,13 +197,15 @@ def rand_segment(rng, irrational=False):
 
 
 def test_ez_cross_equals_winding_oracle_random():
+    # either segment may be irrational, the first over the second's field
     rng = random.Random(22)
     mats = [mat(1, 0, 0, 1), mat(1, 1, 0, 1), mat(2, 1, 1, 1), mat(1, 0, 0, 2),
             mat(1, -1, 1, 0), mat(3, 1, 2, 1)]
-    done = 0
+    done = irrational_first = 0
     while done < 1000:
-        s1 = rand_segment(rng)
-        s2 = rand_segment(rng, irrational=rng.random() < 0.25)
+        field = rng.choice([2, 3, 5]) if rng.random() < 0.25 else None
+        s1 = rand_segment(rng, field if rng.random() < 0.5 else None)
+        s2 = rand_segment(rng, field)
         g = rng.choice(mats)
         try:
             a = ez_cross(s1, s2, g)
@@ -209,6 +214,8 @@ def test_ez_cross_equals_winding_oracle_random():
             continue
         assert a == b
         done += 1
+        irrational_first += s1.D is not None
+    assert irrational_first > 50
 
 
 def test_ez_swap_identity():
@@ -230,6 +237,58 @@ def test_ez_swap_identity():
         assert b == -a
         assert w == b
         done += 1
+
+
+def test_ez_cross_decides_segments_over_two_fields():
+    # crossing arcs over Q(sqrt 2) and Q(sqrt 5), pinned by a float walk
+    s1 = GSegment(HPoint(QuadIrr(0, Fraction(1, 10), 2), 1),
+                  HPoint(QuadIrr(Fraction(1, 2), Fraction(1, 10), 2), 3))
+    s2 = GSegment(HPoint(QuadIrr(-1, Fraction(1, 10), 5), 2),
+                  HPoint(QuadIrr(1, Fraction(1, 10), 5), Fraction(21, 10)))
+    ident = mat(1, 0, 0, 1)
+    assert ez_cross(s1, s2, ident) == float_walk_crossing(s1, s2) == -1
+    assert ez_cross(s1.reversed(), s2, ident) == 1
+    # arcs of the unit circle over Q(sqrt 2) and Q(sqrt 3): points
+    # (s sqrt D, q) with D s^2 + q^2 = 1
+    def on2(s, q):
+        return HPoint(QuadIrr(0, s, 2), q)
+
+    def on3(s, q):
+        return HPoint(QuadIrr(0, s, 3), q)
+
+    wide = GSegment(on2(Fraction(-2, 3), Fraction(1, 3)), on2(Fraction(2, 3), Fraction(1, 3)))
+    inner = GSegment(on3(Fraction(-1, 2), Fraction(1, 2)), on3(Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(DegenerateConfiguration):
+        ez_cross(wide, inner, ident)
+    right = GSegment(on2(Fraction(4, 9), Fraction(7, 9)), on2(Fraction(2, 3), Fraction(1, 3)))
+    left = GSegment(on3(Fraction(-1, 2), Fraction(1, 2)), on3(Fraction(-4, 13), Fraction(11, 13)))
+    assert ez_cross(right, left, ident) == ez_cross(left, right, ident) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3)), k=st.integers(0, 2),
+       entries=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       form=st.sampled_from((GOLDEN, QForm(1, 0, -2), QForm(3, 2, -4), QForm(-1, 1, 1))),
+       x=st.fractions(-3, 3, max_denominator=12),
+       y=st.fractions(Fraction(1, 12), 3, max_denominator=12),
+       field=st.sampled_from((None, 2, 5)),
+       ends=st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_triples_move_by_the_one_pull_back(p, k, entries, form, x, y, field, ends):
+    g = mat(*(Fraction(e, p ** k) for e in entries))
+    assume(mat_det(g) > 0)
+    z = HPoint(x, y)
+    gz = moebius_point(g, z)
+    assert side(form_apply(g, form), gz) == side(form, z)
+    # a segment's triple, rational or over Q(sqrt field), read at g.z
+    x0, x1, b0, b1 = ends
+    if field:
+        z0 = HPoint(QuadIrr(x0, b0, field), 1)
+        z1 = HPoint(QuadIrr(x1, b1, field), 2)
+    else:
+        z0, z1 = HPoint(x0, 1), HPoint(x1 + Fraction(b1, 3), 2)
+    seg = GSegment(z0, z1)
+    assert (_form_value_sign(pull_back(seg.coeffs, g), seg.D, z)
+            == _form_value_sign(seg.coeffs, seg.D, gz))
 
 
 def brute_force_crossings(segment, base, p, levels):
@@ -298,10 +357,14 @@ def test_carrying_coeffs_through_points():
     rng = random.Random(24)
     for _ in range(100):
         s = rand_segment(rng)
-        A, B, C = carrying_coeffs(s)
+        A, B, C = s.coeffs
         for z in (s.z0, s.z1):
             val = A * (z.x * z.x + z.y * z.y) + B * z.x + C
             assert val == 0
+    # the triple is positive on the right of travel, verticals included
+    up = seg(0, 1, 0, 3)
+    assert up.coeffs == (0, 8, 0) and up.reversed().coeffs == (0, -8, 0)
+    assert _form_value_sign(seg(-1, 1, 1, 1).coeffs, None, HPoint(0, 2)) == -1
 
 
 @pytest.mark.parametrize("v, floor", [

@@ -1,5 +1,6 @@
 """Shared brute-force oracles for the test suite."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -272,6 +273,36 @@ def scan_inner_sum(delta, seg, beta, gamma) -> int:
     if any(val(n) == 0 for n in range(lo, hi + 1)):
         raise DegenerateConfiguration("crossing block not contiguous")
     return sum(val(n) for n in range(lo, hi + 1))
+
+
+def _float_arc(seg, n: int) -> list[complex]:
+    """n + 1 points along the segment's geodesic arc, in floating point."""
+    z0 = complex(float(seg.z0.x), float(seg.z0.y))
+    z1 = complex(float(seg.z1.x), float(seg.z1.y))
+    if abs(z0.real - z1.real) < 1e-12:
+        return [z0 + (z1 - z0) * (i / n) for i in range(n + 1)]
+    c = (abs(z1) ** 2 - abs(z0) ** 2) / (2 * (z1.real - z0.real))
+    a0, a1 = cmath.phase(z0 - c), cmath.phase(z1 - c)
+    return [c + abs(z0 - c) * cmath.exp(1j * (a0 + (a1 - a0) * i / n)) for i in range(n + 1)]
+
+
+def float_walk_crossing(seg1, seg2, n: int = 200) -> int:
+    """Signed crossings of the two arcs walked as n-step float polylines,
+    each signed by det(dir seg1, dir seg2): an oracle for ez_cross at the
+    identity that shares no exact arithmetic with it."""
+    ps, qs = _float_arc(seg1, n), _float_arc(seg2, n)
+    total = 0
+    for p, p2 in zip(ps, ps[1:]):
+        for q, q2 in zip(qs, qs[1:]):
+            d1, d2, e = p2 - p, q2 - q, q - p
+            det = d1.real * d2.imag - d1.imag * d2.real
+            if det == 0:
+                continue
+            s = (e.real * d2.imag - e.imag * d2.real) / det
+            u = (e.real * d1.imag - e.imag * d1.real) / det
+            if 0 <= s < 1 and 0 <= u < 1:
+                total += 1 if det > 0 else -1
+    return total
 
 
 def mat_neg(m):
