@@ -35,25 +35,35 @@ def _parse_form(text: str) -> QForm:
     return QForm.parse(text)
 
 
+def _fraction(text: str) -> Fraction:
+    """A Fraction argument; a zero denominator is a usage error like any
+    other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def _fractions(text: str, shape: str) -> list[Fraction]:
+    """The comma-separated Fraction entries of an argument of the given
+    shape, e.g. 'a,b,c,d'."""
+    parts = [_fraction(t) for t in text.split(",")]
+    if len(parts) != shape.count(",") + 1:
+        raise ValueError(f"expected '{shape}'")
+    return parts
+
+
 def _parse_mat(text: str):
-    parts = [Fraction(t) for t in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("expected 'a,b,c,d'")
-    return mat(*parts)
+    return mat(*_fractions(text, "a,b,c,d"))
 
 
 def _parse_point(text: str) -> HPoint:
-    parts = [Fraction(t) for t in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected 'x,y'")
-    return HPoint(*parts)
+    return HPoint(*_fractions(text, "x,y"))
 
 
 def _parse_segment(text: str) -> GSegment:
-    parts = [Fraction(t) for t in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("expected 'x0,y0,x1,y1'")
-    return GSegment(HPoint(parts[0], parts[1]), HPoint(parts[2], parts[3]))
+    x0, y0, x1, y1 = _fractions(text, "x0,y0,x1,y1")
+    return GSegment(HPoint(x0, y0), HPoint(x1, y1))
 
 
 def quadirr_text(q: QuadIrr) -> str:
@@ -136,8 +146,8 @@ def cmd_antisym(args) -> dict:
 
 def cmd_residues(args) -> dict:
     p = _check_prime(args.p)
-    a = INFINITY if args.a == "inf" else Fraction(args.a)
-    b = INFINITY if args.b == "inf" else Fraction(args.b)
+    a = INFINITY if args.a == "inf" else _fraction(args.a)
+    b = INFINITY if args.b == "inf" else _fraction(args.b)
 
     def fn(e):
         return vdp_residue([(a, 1), (b, -1)], e, p)

@@ -16,7 +16,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .errors import DegenerateConfiguration, DegenerateEndpoint, NotRM
-from .exact import QuadIrr, divisors, floor_exact, p_free, quad_sign, val_p
+from .exact import QuadIrr, divisors, exact_div, floor_exact, p_free, quad_sign, val_p
 from .hyperbolic import (
     GSegment,
     HPoint,
@@ -29,7 +29,6 @@ from .hyperbolic import (
 from .mat2 import (
     IDENT,
     Mat,
-    from_ints,
     mat_inv,
     mat_mul,
     p_exponent,
@@ -124,7 +123,7 @@ def canonical_label(g: Mat) -> Label:
 
 def label_inverse(lbl: Label) -> Label:
     a, b, c, d = lbl
-    return canonical_label(from_ints((d, -b, -c, a)))
+    return canonical_label(((d, -b), (-c, a)))
 
 
 def label_p_exponent(lbl: Label, p: int) -> int:
@@ -160,7 +159,7 @@ def int_rm(div: RQDivisor, base: QForm, p: int) -> RMDivisor:
     """Push labels through v -> v . root(base), collecting multiplicities."""
     if not is_rm_for(base, p):
         raise NotRM(f"base not RM for p={p}")
-    return RMDivisor((form_apply(from_ints(v), base), m) for v, m in div.entries.items())
+    return RMDivisor((form_apply((v[:2], v[2:]), base), m) for v, m in div.entries.items())
 
 
 class ChainSquare:
@@ -292,11 +291,11 @@ def _seg_ranges(seg: GSegment) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     y_hi = max(_upper(y) for y in ys)
     A, B, C = seg.coeffs
     if A != 0:
-        x_apex = -B / (2 * A)
+        x_apex = exact_div(-B, 2 * A)
         inside = _lower(x_apex) <= x_hi and x_lo <= _upper(x_apex)
         if inside:
             disc = B * B - 4 * A * C
-            apex_sq = disc / (4 * A * A)
+            apex_sq = exact_div(disc, 4 * A * A)
             y_hi = max(y_hi, _sqrt_upper(_upper(apex_sq)))
     return x_lo, x_hi, y_lo, y_hi
 
@@ -359,8 +358,8 @@ def _add_label(labels: set[Label], g: Label):
 def _folded_pairing(chain: ChainSquare, labels) -> RQDivisor:
     """Product-square pairing of the chain with the twisted diagonal of each
     label, counted with the +-1 folding (each unoriented label carries
-    twice the sign)."""
-    return RQDivisor((lbl, 2 * ez_cross(chain.seg1, chain.seg2, from_ints(lbl)))
+    twice the sign); each label acts as the integer matrix (lbl[:2], lbl[2:])."""
+    return RQDivisor((lbl, 2 * ez_cross(chain.seg1, chain.seg2, (lbl[:2], lbl[2:])))
                      for lbl in labels)
 
 

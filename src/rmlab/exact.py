@@ -347,6 +347,12 @@ def floor_exact(v) -> int:
     return lo + (quad_sign(v - (lo + 1)) >= 0)
 
 
+def exact_div(u, v):
+    """u / v for int, Fraction or QuadIrr operands; int / int is a Fraction
+    here, never a float."""
+    return (Fraction(u) if isinstance(u, int) else u) / v
+
+
 def sign_plus_root(u, v, e) -> int:
     """Exact sign of u + v*sqrt(e) with u, v, e rational or QuadIrr, e >= 0.
 

@@ -47,56 +47,50 @@ def in_gamma(g: Mat, p: int) -> bool:
 
 
 def right_coset_key(g: Mat, p: int):
-    """Canonical key of the left coset SL2(Z[1/p]) * g."""
-    det = mat_det(g)
-    if det <= 0:
+    """Canonical key (a, b, c0, t) of the left coset SL2(Z[1/p]) * g, for
+    g in M2(Z[1/p]) with positive determinant, computed on the integral
+    matrix m = p^k g, p^k the common denominator: an integer row operation of
+    determinant one clears m's lower-left entry, leaving (A, B; 0, D), and
+    diag(u, 1/u) with u = +-p^j makes the upper-left entry a = |A| p^-v_p(A)
+    positive and p-free.  Then g's corner is c0 p^t with c0 = p_free(D),
+    and b is the upper-right entry reduced modulo c0 Z[1/p] (0 when c0 = 1)."""
+    if mat_det(g) <= 0:
         raise ValueError("positive determinant required")
-    # clear denominators in the first column, then integer xgcd row-reduce
-    x, y = g[0][0], g[1][0]
-    k = 0
-    for e in (x, y):
-        if e != 0:
-            k = max(k, -val_p(e, p))
-    xs, ys = int(x * p ** k), int(y * p ** k)
-    if ys == 0:
-        red = g
-    else:
-        d, u, v = xgcd(xs, ys)
-        row_op = mat(u, v, Fraction(-ys, d), Fraction(xs, d))
-        if mat_det(row_op) != 1:
-            raise Mismatch("row operation determinant is not 1")
-        red = mat_mul(row_op, g)
-    if red[1][0] != 0:
-        raise Mismatch("row reduction left a nonzero lower-left entry")
-    a = red[0][0]
-    # scale the diagonal by diag(u, 1/u), u = +-p^j: make a positive, p-free
-    va = val_p(a, p)
-    sign = 1 if a > 0 else -1
-    u = Fraction(sign) * Fraction(p) ** (-va)
-    scale = mat(u, 0, 0, 1 / u)
-    red = mat_mul(scale, red)
-    a, b = red[0]
-    c2 = red[1][1]
-    a_int = int(a)
-    t = val_p(c2, p)
-    c_free = c2 / Fraction(p) ** t
-    if c_free.denominator != 1 or c_free <= 0:
-        raise Mismatch("Hermite corner is not a positive p-free integer")
-    c0 = int(c_free)
-    # reduce b modulo c * Z[1/p] = c0 * Z[1/p]
-    if c0 == 1:
-        b_red = 0
-    else:
-        s = -val_p(b, p) if b != 0 else 0
-        s = max(s, 0)
-        beta = int(b * p ** s)
-        b_red = beta * pow(p, -s, c0) % c0 if s else beta % c0
-    return (a_int, b_red, c0, t)
+    den, k = math.lcm(*(e.denominator for row in g for e in row)), 0
+    while den % p == 0:
+        den, k = den // p, k + 1
+    if den != 1:
+        raise ValueError("matrix entries must lie in Z[1/p]")
+    x, b, y, d = (e.numerator * (p ** k // e.denominator) for row in g for e in row)
+    if y:
+        e, u, v = xgcd(x, y)  # (u, v; -y/e, x/e) clears y
+        x, b, d = e, u * b + v * d, (x * d - y * b) // e
+    va = val_p(x, p)
+    c0 = p_free(d, p)
+    t = val_p(d, p) + va - 2 * k
+    b_red = 0 if c0 == 1 else (1 if x > 0 else -1) * b * pow(p, -va, c0) % c0
+    return (p_free(x, p), b_red, c0, t)
 
 
 def key_to_matrix(key, p: int) -> Mat:
     a, b, c0, t = key
     return mat(a, b, 0, c0 * Fraction(p) ** t)
+
+
+def _integral(key, p: int):
+    """(m, j): the key's matrix times p^j, integral, for the least j >= 0."""
+    a, b, c0, t = key
+    j = max(0, -t)
+    s = p ** j
+    return ((a * s, b * s), (0, c0 * p ** (t + j))), j
+
+
+def _key_label(key):
+    """double_coset_label of the key's matrix: its content gcd(a, b, c0)
+    is p-free because a is."""
+    a, b, c0, t = key
+    e1 = math.gcd(a, b, c0)
+    return (e1, a * c0 // e1, t)
 
 
 def double_coset_label(g: Mat, p: int):
@@ -228,8 +222,8 @@ class HeckeElt(SignedSum):
 _COSET_CACHE: dict = {}
 
 
-def cosets_of_label(label, p: int) -> list[Mat]:
-    """Right-coset representatives of one double coset, in key order.
+def _coset_keys(label, p: int) -> list:
+    """The right-coset keys of one double coset, in sorted order, cached.
 
     The cosets of diag(e1, e2 p^t) are exactly the Hermite keys
     (a, b, c0, t) of right_coset_key with a c0 = e1 e2, 0 <= b < c0 and
@@ -241,40 +235,46 @@ def cosets_of_label(label, p: int) -> list[Mat]:
     if e1 < 1 or e2 % e1 or p_free(e2, p) != e2:
         raise ValueError(f"{label} is not a double-coset label at p = {p}")
     n = e1 * e2
-    out = [key_to_matrix((a, b, n // a, t), p) for a in divisors(n)
+    out = [(a, b, n // a, t) for a in divisors(n)
            for b in range(n // a) if math.gcd(a, b, n // a) == e1]
     _COSET_CACHE[key] = out
     return out
 
 
+def cosets_of_label(label, p: int) -> list[Mat]:
+    """Right-coset representatives of one double coset, in key order: the
+    matrices of its Hermite keys."""
+    return [key_to_matrix(k, p) for k in _coset_keys(label, p)]
+
+
 def hecke_mul(s: HeckeElt, t: HeckeElt) -> HeckeElt:
     """Product in the double-coset algebra: expand on right cosets,
     re-collect, and certify that multiplicities are constant along each
-    double coset."""
+    double coset.  Cosets multiply as the integral matrices p^j times their
+    keys' matrices, and scaling a matrix by p^j adds 2j to its key's t."""
     if s.p != t.p:
         raise ValueError("Hecke elements at different primes")
     p = s.p
     out = []
     for ls, cs in s.terms.items():
-        alphas = cosets_of_label(ls, p)
+        alphas = [_integral(k, p) for k in _coset_keys(ls, p)]
         for lt, ct in t.terms.items():
-            betas = cosets_of_label(lt, p)
+            betas = [_integral(k, p) for k in _coset_keys(lt, p)]
             counter: dict = {}
-            for a in alphas:
-                for b in betas:
-                    k = right_coset_key(mat_mul(a, b), p)
+            for ma, ja in alphas:
+                for mb, jb in betas:
+                    a, b, c0, e = right_coset_key(mat_mul(ma, mb), p)
+                    k = (a, b, c0, e - 2 * (ja + jb))
                     counter[k] = counter.get(k, 0) + 1
             # group by double coset and check constancy
             by_label: dict = {}
             for k, cnt in counter.items():
-                lbl = double_coset_label(key_to_matrix(k, p), p)
-                by_label.setdefault(lbl, []).append((k, cnt))
+                by_label.setdefault(_key_label(k), []).append((k, cnt))
             for lbl, pairs in by_label.items():
                 counts = {cnt for _, cnt in pairs}
                 if len(counts) != 1:
                     raise Mismatch(f"non-constant multiplicity on {lbl}")
-                expected = len(cosets_of_label(lbl, p))
-                if expected != len(pairs):
+                if len(_coset_keys(lbl, p)) != len(pairs):
                     raise Mismatch(f"double coset {lbl} only partially covered")
                 out.append((lbl, cs * ct * counts.pop()))
     return HeckeElt(out, p)

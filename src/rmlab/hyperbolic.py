@@ -3,7 +3,9 @@
 Points carry Fraction or QuadIrr coordinates; every predicate (side of a
 geodesic, transversal crossing, crossing orientation, winding number) is
 decided by exact sign computations, at worst of the shape u + v*sqrt(e)
-with u, v, e in one real quadratic field.
+with u, v, e in one real quadratic field.  Signs at rational points are
+integer sums: such a point keeps integer weights, and a rational
+segment's triple is the primitive integer one.
 
 Sign conventions, frozen once for the whole package:
 
@@ -36,7 +38,7 @@ from .errors import (
     MixedDiscriminant,
     SamplesExhausted,
 )
-from .exact import QuadIrr, floor_exact, quad_sign, sign_plus_root, square_core
+from .exact import QuadIrr, exact_div, floor_exact, quad_sign, sign_plus_root, square_core
 from .mat2 import Mat, mat_adj, mat_det, pull_back
 from .rmpoints import QForm, in_orbit_component
 from .rmpoints import _orbit_bfs, class_key  # noqa: F401 - perfbench rebinds both here
@@ -63,6 +65,11 @@ def _field_of(v) -> int | None:
     return v.D if isinstance(v, QuadIrr) and v.b != 0 else None
 
 
+def _rational(v) -> Fraction:
+    """A rational value held as a Fraction or as a QuadIrr with b = 0."""
+    return v.a if isinstance(v, QuadIrr) else v
+
+
 def _over(v, D: int) -> QuadIrr:
     """v, an element of Q(sqrt D), written as a QuadIrr over exactly D."""
     if not isinstance(v, QuadIrr):
@@ -78,9 +85,12 @@ class HPoint:
     D is the point's field Q(sqrt D), fixed when the point is built: None
     when both coordinates are rational, otherwise both coordinates are
     QuadIrr values over this one D.  n = x^2 + y^2, the squared modulus,
-    is computed once here and read by every predicate."""
+    is computed once here and read by every predicate.  A rational point
+    also keeps its integer weights w = (n L, x L, L), L > 0 the least
+    common denominator of n and x, so the sign of A n + B x + C is that of
+    A w0 + B w1 + C w2; w is None for an irrational point."""
 
-    __slots__ = ("x", "y", "D", "n")
+    __slots__ = ("x", "y", "D", "n", "w")
 
     def __init__(self, x, y):
         if not isinstance(x, QuadIrr):
@@ -95,7 +105,15 @@ class HPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "n", x * x + y * y)
+        n = x * x + y * y
+        object.__setattr__(self, "n", n)
+        w = None
+        if D is None:  # QuadIrr coordinates of a rational point have b = 0
+            xq, nq = _rational(x), _rational(n)
+            L = math.lcm(xq.denominator, nq.denominator)
+            w = (nq.numerator * (L // nq.denominator),
+                 xq.numerator * (L // xq.denominator), L)
+        object.__setattr__(self, "w", w)
 
     def __setattr__(self, *args):
         raise AttributeError("HPoint is immutable")
@@ -126,7 +144,11 @@ def moebius_point(g: Mat, z: HPoint) -> HPoint:
 class GSegment:
     """Oriented geodesic segment between two distinct points; D is the
     field of both endpoints, as for HPoint, and coeffs the triple of the
-    geodesic through both, positive on the right of z0 -> z1."""
+    geodesic through both, positive on the right of z0 -> z1: the cross
+    product of the endpoints' vectors (n, x, 1), a rational endpoint's
+    scaled to its weights, so a positive multiple of
+    (x0 - x1, n1 - n0, n0 x1 - n1 x0); for a rational segment it is
+    divided by its content, the primitive integer triple."""
 
     __slots__ = ("z0", "z1", "D", "coeffs")
 
@@ -137,9 +159,14 @@ class GSegment:
         object.__setattr__(self, "z1", z1)
         # raises on incompatible towers
         object.__setattr__(self, "D", _join_fields(z0.D, z1.D))
-        n0, n1 = z0.n, z1.n
-        object.__setattr__(self, "coeffs",
-                           (z0.x - z1.x, n1 - n0, n0 * z1.x - n1 * z0.x))
+        v0, v1 = (z.w or (z.n, z.x, 1) for z in (z0, z1))
+        coeffs = (v0[1] * v1[2] - v0[2] * v1[1],
+                  v0[2] * v1[0] - v0[0] * v1[2],
+                  v0[0] * v1[1] - v0[1] * v1[0])
+        if self.D is None:  # distinct points have independent weights
+            g = math.gcd(*coeffs)
+            coeffs = tuple(c // g for c in coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *args):
         raise AttributeError("GSegment is immutable")
@@ -184,8 +211,11 @@ def _two_fields(E: int | None, D: int | None) -> bool:
 
 def _form_value_sign(coeffs, E: int | None, z: HPoint) -> int:
     """Exact sign of A(x^2+y^2) + Bx + C for coefficients in Q(sqrt E) and
-    a point over its own field."""
+    a point over its own field; a rational point reads its weights."""
     A, B, C = coeffs
+    w = z.w
+    if w is not None:
+        return quad_sign(A * w[0] + B * w[1] + C * w[2])
     D, x, n = z.D, z.x, z.n
     if not _two_fields(E, D):
         return quad_sign(A * n + B * x + C)
@@ -195,7 +225,7 @@ def _form_value_sign(coeffs, E: int | None, z: HPoint) -> int:
 def side(f: QForm, z: HPoint) -> int:
     """Which component of the complement of the form's geodesic the point
     lies in (0 = on it)."""
-    return quad_sign(f.A * z.n + f.B * z.x + f.C)
+    return _form_value_sign((f.A, f.B, f.C), None, z)
 
 
 def cross_segment(seg: GSegment, f: QForm) -> int:
@@ -236,7 +266,9 @@ def ez_cross(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
     g . seg2 in the punctured product: 0 when the segments are disjoint,
     otherwise the orientation sign of (dir seg1, dir g.seg2) at the
     unique transversal crossing.  Both geodesics move as triples, so no
-    point moves unless the two segments share their geodesic."""
+    point moves unless the two segments share their geodesic.  g may be an
+    integer matrix, such as a twisted-diagonal label: with rational
+    segments every sign is then decided in integer arithmetic."""
     if mat_det(g) <= 0:
         raise ValueError("need positive determinant")
     moved = pull_back(seg2.coeffs, mat_adj(g))  # the geodesic of g.seg2
@@ -308,7 +340,7 @@ def _piece_crossings(piece: _Piece, q: Fraction) -> list[int] | None:
 
     if piece.vertical:
         # points: X = eps*x0 + cx constant, Y = eps*y + cy
-        x0 = -C / B
+        x0 = exact_div(-C, B)
         X = eps * x0 + cx
         # W(y) = eps*y + cy - q X ; zero at y*
         ystar = (q * X - cy) / eps

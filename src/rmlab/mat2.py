@@ -1,8 +1,11 @@
 """2x2 matrices over Q with exact arithmetic and Moebius actions.
 
-Matrices are 2x2 tuples of Fractions.  Elements of SL2(Z[1/p]) are
-represented directly with their denominators; helpers scale to primitive
-integral form where canonical labels are needed.
+Matrices are 2x2 tuples of rationals.  Group elements hold Fractions:
+elements of SL2(Z[1/p]) are represented directly with their denominators.
+Twisted-diagonal labels and Hecke coset products are integer matrices,
+tuples of ints, which mat_mul, mat_det, mat_adj, pull_back, p_exponent
+and primitive_integral take as they are; primitive_integral scales to the
+primitive integral form where canonical labels are needed.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ def primitive_integral(m: Mat) -> tuple[int, int, int, int]:
     if lead < 0:
         ints = [-v for v in ints]
     return tuple(ints)  # type: ignore[return-value]
-
-
-def from_ints(q) -> Mat:
-    a, b, c, d = q
-    return mat(a, b, c, d)
 
 
 def moebius_quadirr(m: Mat, w: QuadIrr) -> QuadIrr:

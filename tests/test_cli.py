@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rmlab import errors
 from rmlab.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -200,3 +202,59 @@ def test_antisym_disc_ratio_p_squared_exits_0(capsys):
     assert rep["f1"] == [1, 1, -1] and rep["f2"] == [1, 0, -5]
     assert [step["level"] for step in rep["steps"]] == [1]
     assert isinstance(rep["nondecreasing"], bool)
+
+
+def _fuzz_number(rng, lo: int, hi: int) -> str:
+    """A Fraction argument between lo and hi, now and then malformed."""
+    if rng.random() < 0.04:
+        return rng.choice(["x", "", "1/0", "-3/0", "1/2/3"])
+    n = rng.randint(lo * 9, hi * 9)
+    return str(n) if rng.random() < 0.3 else f"{n}/{rng.randint(1, 9)}"
+
+
+def _fuzz_list(rng, ranges) -> str:
+    """Comma-separated numbers, one per range; now and then one too few or
+    one too many."""
+    nums = [_fuzz_number(rng, lo, hi) for lo, hi in ranges]
+    r = rng.random()
+    if r < 0.03:
+        nums = nums[:-1]
+    elif r < 0.06:
+        nums.append("1")
+    return ",".join(nums)
+
+
+def _fuzz_argv(rng) -> list[str]:
+    seg = [(-2, 2), (0, 2)] * 2  # y <= 0 now and then: not a point
+    command = rng.choice(["d1", "intersect", "intersect", "hecke-cosets"])
+    if command == "hecke-cosets":
+        return [command, f"--n={rng.randint(-1, 40)}",
+                f"--p={rng.choice([2, 3, 5, 7, 11, 1, 4, 0, -3])}"]
+    argv = [command, "--seg1=" + _fuzz_list(rng, seg), "--seg2=" + _fuzz_list(rng, seg)]
+    if command == "d1":
+        return argv + [f"--p={rng.choice([2, 3, 5, 1, 4])}",
+                       f"--radius={rng.choice([-1, 0, 0, 1])}"]
+    if rng.random() < 0.8:
+        argv.append("--g=" + _fuzz_list(rng, [(-1, 1)] * 4))
+    return argv + (["--oracle"] if rng.random() < 0.5 else [])
+
+
+def test_cli_fuzz_outcomes_are_typed(capsys):
+    # every run of the changed commands either reports, fails with a typed
+    # math error (exit 1) or with a usage object (exit 2), never a traceback
+    rng = random.Random(2016)
+    kinds = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.RmlabError)}
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, out = capture(capsys, argv)
+        rep = json.loads(out)
+        assert code in codes, argv
+        codes[code] += 1
+        if code == 0:
+            assert rep["config"]["command"] == argv[0], argv
+        else:
+            kind = rep["error"]["kind"]
+            assert (kind == "usage") if code == 2 else (kind in kinds), (argv, rep)
+    assert min(codes.values()) > 0, codes

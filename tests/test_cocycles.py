@@ -20,6 +20,7 @@ from rmlab.cocycles import (
     sigma_swap,
     theorem_b_chain_check,
     _lower_pos,
+    _seg_ranges,
     _theorem_b_points,
     _upper,
 )
@@ -34,9 +35,9 @@ from rmlab.hyperbolic import (
     point_on_geodesic,
     winding_oracle,
 )
-from rmlab.mat2 import IDENT, from_ints, mat, mat_inv, mat_mul
+from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm, automorph, form_apply, form_of_disc, orbit_conjugator
-from tests_helpers_brute import mat_neg, scan_inner_sum
+from tests_helpers_brute import from_ints, mat_neg, scan_inner_sum
 
 GOLDEN = QForm(1, -1, -1)
 X0 = HPoint(Fraction(1, 5), Fraction(1, 5))
@@ -343,6 +344,39 @@ def test_theorem_b_far_tile():
     [pt] = _theorem_b_points(delta, 0, 1, base, aut, [(base, cross)], p, ty)
     assert pt["inner"] == -cross == -1
     assert pt["ok"] and pt["mfold_ok"] and pt["single_ok"]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ends=st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+       heights=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+       field=st.sampled_from((None, 2, 5)), den=st.integers(1, 7))
+def test_seg_ranges_exact_bounds(ends, heights, field, den):
+    # rational segments carry int triples: every bound stays a Fraction
+    x0, x1, b0, b1 = ends
+    if field:
+        z0 = HPoint(QuadIrr(Fraction(x0, den), b0, field), Fraction(heights[0], den))
+        z1 = HPoint(QuadIrr(Fraction(x1, den), b1, field), QuadIrr(heights[1], heights[2], field))
+    else:
+        z0 = HPoint(Fraction(x0, den), Fraction(heights[0], den))
+        z1 = HPoint(Fraction(x1, den), Fraction(heights[1], heights[3]))
+    if z0 == z1:
+        reject()
+    s = GSegment(z0, z1)
+    bounds = _seg_ranges(s)
+    assert all(type(v) is Fraction for v in bounds), bounds
+    x_lo, x_hi, y_lo, y_hi = bounds
+    for z in (z0, z1):
+        assert x_lo <= z.x <= x_hi and 0 < y_lo <= z.y <= y_hi
+
+
+def test_seg_ranges_apex_decided_exactly():
+    # an arc of radius 5e over the apex c, 1.5e-16 above 1: float(c) lies
+    # 7e-17 past the arc's right end, so a float apex would leave y_hi at
+    # the endpoints' height 4e, below the apex height 5e
+    c, e = 1 + Fraction(15, 10 ** 17), Fraction(1, 10 ** 30)
+    s = GSegment(HPoint(c - 3 * e, 4 * e), HPoint(c + 3 * e, 4 * e))
+    assert float(c) > c + 3 * e
+    assert _seg_ranges(s)[3] >= 5 * e
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

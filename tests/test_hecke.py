@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlab.cocycles import ChainSquare, RQDivisor, dv_value_on_segment, sigma_swap
 from rmlab.hecke import (
@@ -18,9 +20,14 @@ from rmlab.hecke import (
     right_coset_key,
 )
 from rmlab.hyperbolic import GSegment, HPoint
-from rmlab.mat2 import from_ints, mat, mat_inv, mat_mul
+from rmlab.mat2 import mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm
-from tests_helpers_brute import coset_closure, km_hecke_route, tree_neighbor_count
+from tests_helpers_brute import (
+    coset_closure,
+    km_hecke_route,
+    right_coset_key_fraction,
+    tree_neighbor_count,
+)
 
 GOLDEN = QForm(1, -1, -1)
 
@@ -36,6 +43,48 @@ def test_right_coset_key_invariance():
     assert right_coset_key(rep, 3) == k0
     assert in_gamma(mat_mul(g, mat_inv(rep)), 3) or \
         in_gamma(mat_mul(rep, mat_inv(g)), 3)
+
+
+def _key_or_error(key, g, p):
+    try:
+        return key(g, p)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)),
+       entries=st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+       exps=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       word=st.lists(st.sampled_from("TSDtsd"), max_size=8),
+       upper=st.booleans())
+def test_right_coset_key_integer_paths(p, entries, exps, word, upper):
+    if upper:  # no row operation: the diagonal scaling alone fixes signs
+        entries[2] = 0
+    g = mat(*(Fraction(e, p ** k) for e, k in zip(entries, exps)))
+    key = _key_or_error(right_coset_key, g, p)
+    # the Fraction algorithm, step by step on g, agrees in value or error
+    assert key == _key_or_error(right_coset_key_fraction, g, p)
+    if not isinstance(key, tuple):
+        return
+    # the key's matrix has the key; so has the integral p^3 g, with t + 6
+    assert right_coset_key(key_to_matrix(key, p), p) == key
+    scaled = tuple(tuple(int(e * p ** 3) for e in row) for row in g)
+    a, b, c0, t = key
+    assert right_coset_key(scaled, p) == (a, b, c0, t + 6)
+    # left multiplication by a word in T, S, diag(p, 1/p) and their inverses
+    gens = {"T": mat(1, 1, 0, 1), "S": mat(0, -1, 1, 0), "D": mat(p, 0, 0, Fraction(1, p))}
+    gens.update({k.lower(): mat_inv(v) for k, v in gens.items()})
+    gamma = mat(1, 0, 0, 1)
+    for letter in word:
+        gamma = mat_mul(gens[letter], gamma)
+    assert right_coset_key(mat_mul(gamma, g), p) == key
+
+
+def test_right_coset_key_rejects_entries_outside_z_1_p():
+    # 1/3 is no element of Z[1/2]
+    with pytest.raises(ValueError):
+        right_coset_key(mat(Fraction(1, 3), 0, 0, 3), 2)
 
 
 def test_coset_reps_examples():

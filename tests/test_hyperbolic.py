@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint, MixedDiscriminant
-from rmlab.exact import QuadIrr, floor_exact
+from rmlab.exact import QuadIrr, floor_exact, quad_sign
 from rmlab.hyperbolic import (
     GSegment,
     HPoint,
@@ -291,6 +291,39 @@ def test_triples_move_by_the_one_pull_back(p, k, entries, form, x, y, field, end
             == _form_value_sign(seg.coeffs, seg.D, gz))
 
 
+_RATIONAL = st.fractions(-9, 9, max_denominator=7)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=st.fractions(-5, 5, max_denominator=30),
+       y=st.fractions(Fraction(1, 30), 5, max_denominator=30),
+       held_as_quadirr=st.booleans(), field=st.sampled_from((2, 5)),
+       kind=st.sampled_from(("int", "fraction", "quadirr")),
+       a=st.lists(_RATIONAL, min_size=3, max_size=3),
+       b=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_rational_points_decide_signs_by_weights(x, y, held_as_quadirr, field, kind, a, b):
+    # a rational point may hold QuadIrr coordinates with b = 0
+    z = (HPoint(QuadIrr(x, 0, field), QuadIrr(y, 0, field)) if held_as_quadirr
+         else HPoint(x, y))
+    assert z.D is None and all(type(v) is int for v in z.w) and z.w[2] > 0
+    n = x * x + y * y
+    if kind == "int":
+        triple = tuple(math.floor(v) for v in a)
+    elif kind == "fraction":
+        triple = tuple(a)
+    else:
+        triple = tuple(QuadIrr(u, v, field) for u, v in zip(a, b))
+    A, B, C = triple
+    expect = quad_sign(A * n + B * x + C)
+    assert _form_value_sign(triple, field if kind == "quadirr" else None, z) == expect
+    if kind == "int":
+        try:
+            f = QForm(*triple)
+        except ValueError:
+            return  # not a primitive indefinite form
+        assert side(f, z) == expect
+
+
 def brute_force_crossings(segment, base, p, levels):
     """Independent scan: all primitive forms with |A|, |B| <= 10 at each
     admissible discriminant, filtered by crossing and orbit membership."""
@@ -361,9 +394,16 @@ def test_carrying_coeffs_through_points():
         for z in (s.z0, s.z1):
             val = A * (z.x * z.x + z.y * z.y) + B * z.x + C
             assert val == 0
+        # a rational segment's triple is the coprime integer positive
+        # multiple of (x0 - x1, n1 - n0, n0 x1 - n1 x0)
+        assert all(type(c) is int for c in s.coeffs) and math.gcd(A, B, C) == 1
+        n0, n1 = s.z0.n, s.z1.n
+        ref = (s.z0.x - s.z1.x, n1 - n0, n0 * s.z1.x - n1 * s.z0.x)
+        lam = next(c / r for c, r in zip(s.coeffs, ref) if r)
+        assert lam > 0 and s.coeffs == tuple(lam * r for r in ref)
     # the triple is positive on the right of travel, verticals included
     up = seg(0, 1, 0, 3)
-    assert up.coeffs == (0, 8, 0) and up.reversed().coeffs == (0, -8, 0)
+    assert up.coeffs == (0, 1, 0) and up.reversed().coeffs == (0, -1, 0)
     assert _form_value_sign(seg(-1, 1, 1, 1).coeffs, None, HPoint(0, 2)) == -1
 
 

@@ -14,13 +14,12 @@ from rmlab.cocycles import (
     d1_value,
 )
 from rmlab.errors import DegenerateConfiguration, Mismatch, MixedDiscriminant
-from rmlab.exact import QuadIrr, divisors, p_free, quad_sign, sigma1, val_p
+from rmlab.exact import QuadIrr, divisors, p_free, quad_sign, sigma1, val_p, xgcd
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
 from rmlab.hyperbolic import cross_segment, ez_cross
 from rmlab.linalg import nullspace
 from rmlab.mat2 import (
     IDENT,
-    from_ints,
     mat,
     mat_det,
     mat_inv,
@@ -29,6 +28,58 @@ from rmlab.mat2 import (
 )
 from rmlab.quaternion import ProjLine, Quat
 from rmlab.rmpoints import Automorph, QForm, is_rm_for, orbit_equivalent
+
+
+def from_ints(q):
+    """The flat integer label (a, b, c, d) as a Fraction matrix."""
+    a, b, c, d = q
+    return mat(a, b, c, d)
+
+
+def right_coset_key_fraction(g, p: int):
+    """Hermite key of SL2(Z[1/p]) * g computed in Fraction arithmetic, step
+    by step on g itself: clear the first column's denominators, xgcd
+    row-reduce, scale the diagonal by diag(u, 1/u), u = +-p^j, to a
+    positive p-free upper-left entry, then reduce the upper-right entry
+    modulo the p-free part of the corner."""
+    det = mat_det(g)
+    if det <= 0:
+        raise ValueError("positive determinant required")
+    x, y = g[0][0], g[1][0]
+    k = 0
+    for e in (x, y):
+        if e != 0:
+            k = max(k, -val_p(e, p))
+    xs, ys = int(x * p ** k), int(y * p ** k)
+    if ys == 0:
+        red = g
+    else:
+        d, u, v = xgcd(xs, ys)
+        row_op = mat(u, v, Fraction(-ys, d), Fraction(xs, d))
+        if mat_det(row_op) != 1:
+            raise Mismatch("row operation determinant is not 1")
+        red = mat_mul(row_op, g)
+    if red[1][0] != 0:
+        raise Mismatch("row reduction left a nonzero lower-left entry")
+    a = red[0][0]
+    va = val_p(a, p)
+    sign = 1 if a > 0 else -1
+    u = Fraction(sign) * Fraction(p) ** (-va)
+    red = mat_mul(mat(u, 0, 0, 1 / u), red)
+    a, b = red[0]
+    c2 = red[1][1]
+    t = val_p(c2, p)
+    c_free = c2 / Fraction(p) ** t
+    if c_free.denominator != 1 or c_free <= 0:
+        raise Mismatch("Hermite corner is not a positive p-free integer")
+    c0 = int(c_free)
+    if c0 == 1:
+        b_red = 0
+    else:
+        s = max(-val_p(b, p), 0) if b != 0 else 0
+        beta = int(b * p ** s)
+        b_red = beta * pow(p, -s, c0) % c0 if s else beta % c0
+    return (int(a), b_red, c0, t)
 
 
 def pell4_scan(D: int, cap: int):
