@@ -86,28 +86,18 @@ def _integral(key, p: int):
 
 
 def _key_label(key):
-    """double_coset_label of the key's matrix: its content gcd(a, b, c0)
-    is p-free because a is."""
+    """(e1, e2, t) of the key's double coset: its p-free elementary divisors
+    over Z[1/p] are the content gcd(a, b, c0) (p-free because a is) and
+    a c0 over it, and t = val_p(det)."""
     a, b, c0, t = key
     e1 = math.gcd(a, b, c0)
     return (e1, a * c0 // e1, t)
 
 
 def double_coset_label(g: Mat, p: int):
-    """(e1, e2, t): p-free elementary divisors over Z[1/p] and val_p(det)."""
-    det = mat_det(g)
-    k = p_exponent(g, p)
-    ints = [int(e * p ** k) for row in g for e in row]
-    gcd_all = 0
-    for v in ints:
-        gcd_all = math.gcd(gcd_all, abs(v))
-    e1 = p_free(gcd_all, p)
-    n_free = p_free(det.numerator, p)  # det > 0 rational with p-power denom
-    if p_free(det.denominator, p) != 1:
-        raise Mismatch("determinant denominator is not a power of p")
-    e2 = n_free // e1
-    t = val_p(det, p)
-    return (e1, e2, t)
+    """(e1, e2, t): p-free elementary divisors over Z[1/p] and val_p(det).
+    The double coset contains g's right coset, so its label is the key's."""
+    return _key_label(right_coset_key(g, p))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,22 @@ def test_double_coset_labels():
     assert double_coset_label(mat(1, 0, 0, 3), p) == (1, 1, 1)
 
 
+def test_double_coset_label_of_every_coset():
+    # each right coset of a double coset carries that double coset's label
+    for p in (2, 3, 5):
+        for n in range(1, 13):
+            for lbl in HeckeElt.Tn(n, p).terms:
+                for alpha in cosets_of_label(lbl, p):
+                    assert double_coset_label(alpha, p) == lbl
+
+
+def test_double_coset_label_rejects_matrices_outside_the_monoid():
+    # 1/3 is no element of Z[1/2]; a negative determinant has no label
+    for g, p in ((mat(Fraction(1, 3), 0, 0, 3), 2), (mat(-1, 0, 0, 1), 3)):
+        with pytest.raises(ValueError):
+            double_coset_label(g, p)
+
+
 def test_hecke_identity_and_t1():
     p = 3
     one = HeckeElt.one(p)
