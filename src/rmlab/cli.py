@@ -91,6 +91,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own errors (an unknown option, a missing
+    argument, a malformed integer) are usage errors reported like every
+    other; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def cmd_automorph(args) -> dict:
     f = _parse_form(args.form)
     a = automorph(f, _check_prime(args.p))
@@ -187,7 +196,7 @@ def cmd_modform(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rmlab", description=__doc__)
+    ap = _Parser(prog="rmlab", description=__doc__)
     ap.add_argument("--json", help="write the report to this path")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -256,14 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("fn",) and v is not None}
-    try:
+        args = build_parser().parse_args(argv)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("fn",) and v is not None}
         _check_ranges(args)
         body = args.fn(args)
         report = {
@@ -278,6 +283,8 @@ def run(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    except SystemExit as exc:  # --help has printed its text
+        return 2 if exc.code else 0
     except (UsageError, ValueError) as exc:
         sys.stdout.write(json.dumps(
             {"error": {"kind": "usage", "message": str(exc)}},

@@ -35,7 +35,14 @@ from .mat2 import (
     primitive_integral,
     pull_back,
 )
-from .rmpoints import QForm, automorph, form_apply, is_rm_for, orbit_conjugator
+from .rmpoints import (
+    QForm,
+    automorph,
+    form_apply,
+    form_mover,
+    is_rm_for,
+    orbit_conjugator,
+)
 
 # ---------------------------------------------------------------------------
 # divisors
@@ -90,7 +97,10 @@ class RMDivisor(SignedSum):
     __slots__ = ()
 
     def act(self, g: Mat) -> "RMDivisor":
-        return RMDivisor((form_apply(g, f), m) for f, m in self.entries.items())
+        if not self.entries:
+            return RMDivisor()
+        move = form_mover(g)
+        return RMDivisor((move(f), m) for f, m in self.entries.items())
 
     def restrict_levels(self, base_disc: int, p: int, levels: int) -> "RMDivisor":
         """Keep points whose disc is base_disc * p^(2m) with |m| <= levels."""

@@ -458,10 +458,46 @@ def winding_oracle(seg1: GSegment, seg2: GSegment, g: Mat) -> int:
 # orbit geodesics crossing a segment
 
 
-def _seg_box(seg: GSegment):
-    xs = sorted([seg.z0.x, seg.z1.x])
-    ys = sorted([seg.z0.y, seg.z1.y])
-    return xs[0], xs[1], ys[0]
+def _endpoint_floors(z: HPoint):
+    """(d, A) -> (floor(-2Ax), floor(d - 4A^2 y^2)) at z = x + iy: integer
+    division at a rational point, floor_exact over Q(sqrt D)."""
+    if z.w is not None:  # QuadIrr coordinates of a rational point have b = 0
+        x, y2 = _rational(z.x), _rational(z.y) ** 2
+        xn, xd, yn, yd = x.numerator, x.denominator, y2.numerator, y2.denominator
+        return lambda d, A: ((-2 * A * xn) // xd, (d * yd - 4 * A * A * yn) // yd)
+    x, y2 = z.x, z.y * z.y
+    return lambda d, A: (floor_exact(x * (-2 * A)), floor_exact(y2 * (-4 * A * A) + d))
+
+
+def _b_spans(w0, w1) -> list[tuple[int, int]]:
+    """Increasing disjoint closed intervals of B holding every B at which
+    the geodesic of a form (A, B, C) of discriminant d passes through an
+    endpoint or separates the two; w0 and w1 are the endpoints'
+    _endpoint_floors (c, r) = (floor(-2Ax), floor R), R = d - 4A^2 y^2.
+
+    4A (A n + B x + C) = (B + 2Ax)^2 - R, so z lies strictly inside the
+    geodesic (side -sgn A) iff |B + 2Ax| < sqrt R, and on it iff equality
+    holds.  With rho = isqrt(r), rho <= sqrt R < rho + 1 and
+    c <= -2Ax < c + 1, so [c - rho, c + rho + 1] holds the closed window
+    and [c - rho + 1, c + rho - 1] lies in the open one; R < 0 (r < 0)
+    puts z outside every such geodesic.  The B in both open windows leave
+    both endpoints strictly inside, on one side, and are dropped."""
+    spans, opens = [], []
+    for c, r in (w0, w1):
+        if r >= 0:
+            rho = math.isqrt(r)
+            spans.append((c - rho, c + rho + 1))
+            opens.append((c - rho + 1, c + rho - 1))
+    spans.sort()
+    if len(spans) == 2 and spans[1][0] <= spans[0][1] + 1:  # visit each B once
+        spans = [(spans[0][0], max(spans[0][1], spans[1][1]))]
+    if len(opens) == 2:
+        lo, hi = max(opens[0][0], opens[1][0]), min(opens[0][1], opens[1][1])
+        if lo <= hi:
+            spans = [(s, e) for s_lo, s_hi in spans
+                     for s, e in ((s_lo, min(s_hi, lo - 1)), (max(s_lo, hi + 1), s_hi))
+                     if s <= e]
+    return spans
 
 
 def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
@@ -470,45 +506,45 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
     disc * p^(2m) with |m| <= levels, whose geodesic crosses the segment,
     with their crossing signs.
 
-    Completeness: a geodesic (A, B, C) of discriminant d through z = x + iy
-    satisfies (2Ax + B)^2 + (2Ay)^2 = d, so over the segment's bounding box
-    |A| <= sqrt(d)/(2 y_min) and 2Ax + B is confined to [-sqrt d, sqrt d];
-    every candidate in that finite box is tested exactly.
+    Completeness: a geodesic of discriminant d that crosses the segment or
+    passes through an endpoint has an endpoint z = x + iy inside it or on
+    it, so d - 4A^2 y^2 >= 0 there (_b_spans): |A| <= sqrt(d)/(2 y_min).
+    For each such A every B of the endpoints' windows is tested exactly,
+    degenerate endpoints included.
     """
-    x_lo, x_hi, y_min = _seg_box(seg)
+    floors0, floors1 = _endpoint_floors(seg.z0), _endpoint_floors(seg.z1)
     d0 = base.disc
     top_disc = d0 * p ** (2 * levels)
     out: list[tuple[QForm, int]] = []
 
-    def scan_A(d, A):
-        s = math.isqrt(d)
-        vals = sorted([2 * A * x_lo, 2 * A * x_hi])
-        b_lo = floor_exact(-s - vals[1]) - 1
-        b_hi = floor_exact(s - vals[0]) + 2
-        # 4A | B^2 - d forces B = d mod 2
-        for B in range(b_lo + (b_lo - d) % 2, b_hi + 1, 2):
-            num = B * B - d
-            if num % (4 * A) != 0:
-                continue
-            C = num // (4 * A)
-            if math.gcd(A, B, C) != 1:
-                continue
-            # A != 0, primitive, B^2 - 4AC = d a positive non-square: a form
-            f = QForm(A, B, C)
-            # cheap rejection first: most candidates miss the segment
-            s0 = side(f, seg.z0)
-            s1 = side(f, seg.z1)
-            if s0 != 0 and s0 == s1:
-                continue
-            # only orbit members matter, including for degeneracy
-            if not in_orbit_component(f, base, p, top_disc):
-                continue
-            if s0 == 0 or s1 == 0:
-                raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
-            sgn = (s1 - s0) // 2
-            if sgn == 0:
-                continue
-            out.append((f, sgn))
+    def scan_A(d, A) -> bool:
+        """Test every candidate B for this A; False when no endpoint can lie
+        inside or on a geodesic with this |A|, nor with any larger one."""
+        spans = _b_spans(floors0(d, A), floors1(d, A))
+        four_a = 4 * A
+        for b_lo, b_hi in spans:
+            # 4A | B^2 - d forces B = d mod 2
+            for B in range(b_lo + (b_lo - d) % 2, b_hi + 1, 2):
+                num = B * B - d
+                if num % four_a != 0:
+                    continue
+                C = num // four_a
+                if math.gcd(A, B, C) != 1:
+                    continue
+                # A != 0, primitive, B^2 - 4AC = d a positive non-square: a form
+                f = QForm(A, B, C)
+                # the windows are a superset: a candidate may still miss
+                s0 = side(f, seg.z0)
+                s1 = side(f, seg.z1)
+                if s0 != 0 and s0 == s1:
+                    continue
+                # only orbit members matter, including for degeneracy
+                if not in_orbit_component(f, base, p, top_disc):
+                    continue
+                if s0 == 0 or s1 == 0:
+                    raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
+                out.append((f, (s1 - s0) // 2))
+        return bool(spans)
 
     for m in range(-levels, levels + 1):
         if m < 0:
@@ -518,10 +554,8 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
             d = d0 // q
         else:
             d = d0 * p ** (2 * m)
-        amax_sq = Fraction(d, 4)
         a = 1
-        while quad_sign(amax_sq - y_min * y_min * (a * a)) >= 0:
-            scan_A(d, a)
+        while scan_A(d, a):
             scan_A(d, -a)
             a += 1
     out.sort(key=lambda fs: fs[0].triple())

@@ -103,15 +103,25 @@ def _require_rm(form: QForm, p: int) -> None:
 # transforms and reduction
 
 
-def form_apply(g: Mat, f: QForm) -> QForm:
-    """The primitive form whose distinguished root is g . root(f), for
-    g in GL2(Q) with positive determinant."""
+def form_mover(g: Mat):
+    """f -> form_apply(g, f), with g's primitive integral adjugate computed
+    once for every form it moves."""
     if mat_det(g) <= 0:
         raise ValueError("determinant must be positive")
     a, b, c, d = primitive_integral(g)
-    A, B, C = pull_back(f.triple(), mat_adj(((a, b), (c, d))))
-    g0 = math.gcd(A, B, C)
-    return QForm(A // g0, B // g0, C // g0)
+    adj = mat_adj(((a, b), (c, d)))
+
+    def move(f: QForm) -> QForm:
+        A, B, C = pull_back(f.triple(), adj)
+        g0 = math.gcd(A, B, C)
+        return QForm(A // g0, B // g0, C // g0)
+    return move
+
+
+def form_apply(g: Mat, f: QForm) -> QForm:
+    """The primitive form whose distinguished root is g . root(f), for
+    g in GL2(Q) with positive determinant."""
+    return form_mover(g)(f)
 
 
 def _is_reduced(f: QForm) -> bool:

@@ -68,6 +68,26 @@ def test_out_of_range_argument_exits_2(capsys, argv):
     assert err["kind"] == "usage" and "must be at least" in err["message"]
 
 
+@pytest.mark.parametrize("argv, words", [
+    ("d1 --seg1 1,1,2,2 --seg2 1,2,2,1 --p x", "invalid int value"),
+    ("automorph --form 1,-1,-1", "required"),
+    ("automorph --form 1,-1,-1 --p 2 --bogus 1", "unrecognized arguments"),
+    ("no-such-command", "invalid choice"),
+    ("", "required"),
+])
+def test_argparse_errors_print_a_usage_object(capsys, argv, words):
+    code, out = capture(capsys, shlex.split(argv))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "usage" and words in err["message"]
+
+
+@pytest.mark.parametrize("argv", ["--help", "dv --help"])
+def test_help_exits_0(capsys, argv):
+    assert run(shlex.split(argv)) == 0
+    assert "usage: rmlab" in capsys.readouterr().out
+
+
 def test_math_error_exits_1(capsys):
     # 11 splits in Q(sqrt 5): NotRM is a math failure, not a usage failure
     code, out = capture(capsys, ["automorph", "--form", "1,-1,-1", "--p", "11"])
@@ -224,16 +244,23 @@ def _fuzz_list(rng, ranges) -> str:
     return ",".join(nums)
 
 
+def _fuzz_int(rng, choices) -> str:
+    """An integer option's value, now and then not an integer."""
+    if rng.random() < 0.04:
+        return rng.choice(["x", "", "1/2", "2.0", "0x3"])
+    return str(rng.choice(choices))
+
+
 def _fuzz_argv(rng) -> list[str]:
     seg = [(-2, 2), (0, 2)] * 2  # y <= 0 now and then: not a point
     command = rng.choice(["d1", "intersect", "intersect", "hecke-cosets"])
     if command == "hecke-cosets":
-        return [command, f"--n={rng.randint(-1, 40)}",
-                f"--p={rng.choice([2, 3, 5, 7, 11, 1, 4, 0, -3])}"]
+        return [command, "--n=" + _fuzz_int(rng, range(-1, 41)),
+                "--p=" + _fuzz_int(rng, [2, 3, 5, 7, 11, 1, 4, 0, -3])]
     argv = [command, "--seg1=" + _fuzz_list(rng, seg), "--seg2=" + _fuzz_list(rng, seg)]
     if command == "d1":
-        return argv + [f"--p={rng.choice([2, 3, 5, 1, 4])}",
-                       f"--radius={rng.choice([-1, 0, 0, 1])}"]
+        return argv + ["--p=" + _fuzz_int(rng, [2, 3, 5, 1, 4]),
+                       "--radius=" + _fuzz_int(rng, [-1, 0, 0, 1])]
     if rng.random() < 0.8:
         argv.append("--g=" + _fuzz_list(rng, [(-1, 1)] * 4))
     return argv + (["--oracle"] if rng.random() < 0.5 else [])

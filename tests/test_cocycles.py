@@ -178,6 +178,14 @@ def test_rm_divisor_algebra():
     moved = a.act(mat(1, 1, 0, 1))
     f2 = form_apply(mat(1, 1, 0, 1), GOLDEN)
     assert moved == RMDivisor({f2: 2})
+    # a non-rational, non-integral g moves every point as form_apply does
+    g = mat(Fraction(3, 2), 1, Fraction(1, 4), 2)
+    many = RMDivisor({GOLDEN: 1, f2: -3, QForm(1, 0, -2): 5})
+    assert many.act(g) == RMDivisor({form_apply(g, f): m for f, m in many.entries.items()})
+    # det g <= 0 is refused as soon as there is a point to move
+    with pytest.raises(ValueError):
+        a.act(mat(0, 1, 1, 0))
+    assert RMDivisor().act(mat(0, 1, 1, 0)).is_zero()
     assert a.restrict_levels(5, 2, 0) == a
     # 80 = 5 * 2^4 sits at |m| = 2: excluded at levels 1, included at 2
     assert a.restrict_levels(80, 2, 1).is_zero()

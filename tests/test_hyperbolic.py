@@ -1,18 +1,24 @@
+import contextlib
+import io
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rmlab.cli import run
+from rmlab.cocycles import chain_segment
 from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint, MixedDiscriminant
 from rmlab.exact import QuadIrr, floor_exact, quad_sign
 from rmlab.hyperbolic import (
     GSegment,
     HPoint,
+    _endpoint_floors,
     _form_value_sign,
-    _seg_box,
     cross_segment,
     enumerate_crossing_orbit,
     ez_cross,
@@ -22,8 +28,8 @@ from rmlab.hyperbolic import (
     winding_oracle,
 )
 from rmlab.mat2 import mat, mat_det, mat_inv, mat_mul, pull_back
-from rmlab.rmpoints import QForm, automorph, form_apply, orbit_equivalent
-from tests_helpers_brute import float_walk_crossing
+from rmlab.rmpoints import QForm, automorph, form_apply, is_rm_for, orbit_equivalent
+from tests_helpers_brute import box_scan_crossings, float_walk_crossing
 
 GOLDEN = QForm(1, -1, -1)
 APEX = point_on_geodesic(GOLDEN, 1)
@@ -418,9 +424,94 @@ def test_frac_floor_exact(v, floor):
     assert floor_exact(v) == floor
 
 
-def test_seg_box_orders_endpoints_exactly():
-    # the two x-coordinates differ by 6e-21, below float resolution at 1
+def test_endpoint_floors_are_exact():
+    # x lies 1.4e-20 above 1, below float resolution: floor(-2x) is -3; the
+    # b = 0 coordinate y = 1/2 gives R = 5 - 4 y^2 = 4 exactly
     near = QuadIrr(1, Fraction(1, 10 ** 20), 2)
-    far = Fraction(1) + Fraction(2, 10 ** 20)
-    s = GSegment(HPoint(far, Fraction(1)), HPoint(near, Fraction(2)))
-    assert _seg_box(s) == (near, far, Fraction(1))
+    z = HPoint(near, QuadIrr(Fraction(1, 2), 0, 2))
+    assert z.w is None and _endpoint_floors(z)(5, 1) == (-3, 4)
+    assert _endpoint_floors(z)(5, -1) == (2, 4)
+    # a rational point held as b = 0 QuadIrr coordinates reads integers
+    rng = random.Random(17)
+    for _ in range(200):
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        y = Fraction(rng.randint(1, 50), rng.randint(1, 30))
+        d, A = rng.choice([5, 8, 12, 13, 17, 45]), rng.choice([-7, -2, -1, 1, 3, 11])
+        for z in (HPoint(x, y), HPoint(QuadIrr(x, 0, 5), QuadIrr(y, 0, 5))):
+            assert _endpoint_floors(z)(d, A) == (math.floor(-2 * A * x),
+                                                  math.floor(d - 4 * A * A * y * y))
+
+
+_ORACLE_BASES = [QForm(1, -1, -1), QForm(1, 0, -2), QForm(1, 0, -3), QForm(1, 1, -3),
+                 QForm(1, 0, -5), QForm(1, 1, -4), QForm(1, 0, -6)]
+
+
+def _oracle_coordinate(rng, lo, hi, D):
+    """A rational in [lo, hi], or over Q(sqrt D): with a small irrational
+    part, or held as a b = 0 QuadIrr."""
+    v = Fraction(rng.randint(lo * 12, hi * 12), rng.randint(1, 12))
+    r = rng.random() if D else 1
+    if r < 0.4:
+        return QuadIrr(v, Fraction(rng.randint(-3, 3), rng.randint(2, 9)), D)
+    return QuadIrr(v, 0, D) if r < 0.7 else v
+
+
+def _oracle_segment(rng, D):
+    """A seeded segment: x in [-2, 2] or, for a wide one, [-6, 6]; a third
+    of the endpoints have y scaled by 1/10."""
+    width = rng.choice([2, 2, 6])
+    while True:
+        points = []
+        for _ in range(2):
+            x = _oracle_coordinate(rng, -width, width, D)
+            y = _oracle_coordinate(rng, 0, 2, D)
+            if rng.random() < 0.3:
+                y = y * Fraction(1, 10)
+            points.append((x, y))
+        try:
+            return GSegment(HPoint(*points[0]), HPoint(*points[1]))
+        except ValueError:
+            continue  # y <= 0, or twice the same point
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateEndpoint as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fields, draws", [((None,), 120), ((2, 3, 5, 7), 50)])
+def test_enumerate_crossing_orbit_matches_box_scan(fields, draws):
+    # the per-A B windows against the scan of the whole bounding box, in
+    # value or exception type
+    rng = random.Random(1717 + draws)
+    hits = 0
+    for _ in range(draws):
+        segment = _oracle_segment(rng, rng.choice(fields))
+        base = rng.choice(_ORACLE_BASES)
+        p = rng.choice([q for q in (2, 3, 5) if is_rm_for(base, q)])
+        levels = rng.choice([0, 1, 1, 2] if p == 2 else [0, 1])  # the box grows with p^levels
+        got = _outcome(enumerate_crossing_orbit, segment, base, p, levels)
+        assert got == _outcome(box_scan_crossings, segment, base, p, levels), segment
+        hits += got != []
+    # most draws cross an orbit geodesic or meet one at an endpoint
+    assert hits >= 0.6 * draws, hits
+
+
+def test_disc_17_path_is_enumerated():
+    # the path x0 -> gamma.x0 of disc 17's automorph dips to y = 1.0e-4,
+    # where the bounding box held about 10^10 (A, B); the antisym pair exits 0
+    t0 = time.time()
+    argv = ["antisym", "--f1", "1,1,-1", "--f2", "1,1,-4", "--p", "3", "--levels", "1"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    assert json.loads(out.getvalue())["antisym"]["steps"][0]["level"] == 1
+    assert time.time() - t0 < 60
+    segment = chain_segment(automorph(QForm(1, 1, -4), 3).gamma,
+                            HPoint(Fraction(1, 5), Fraction(1, 5)))
+    assert segment.z1.y < Fraction(1, 9000)
+    found = enumerate_crossing_orbit(segment, QForm(1, 1, -1), 3, 1)
+    assert found
+    for f, sgn in found:
+        assert side(f, segment.z0) == -sgn and side(f, segment.z1) == sgn

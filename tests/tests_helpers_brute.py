@@ -13,10 +13,24 @@ from rmlab.cocycles import (
     chain_segment,
     d1_value,
 )
-from rmlab.errors import DegenerateConfiguration, Mismatch, MixedDiscriminant
-from rmlab.exact import QuadIrr, divisors, p_free, quad_sign, sigma1, val_p, xgcd
+from rmlab.errors import (
+    DegenerateConfiguration,
+    DegenerateEndpoint,
+    Mismatch,
+    MixedDiscriminant,
+)
+from rmlab.exact import (
+    QuadIrr,
+    divisors,
+    floor_exact,
+    p_free,
+    quad_sign,
+    sigma1,
+    val_p,
+    xgcd,
+)
 from rmlab.hecke import coset_reps_Tn, key_to_matrix, right_coset_key
-from rmlab.hyperbolic import cross_segment, ez_cross
+from rmlab.hyperbolic import cross_segment, ez_cross, side
 from rmlab.linalg import nullspace
 from rmlab.mat2 import (
     IDENT,
@@ -27,7 +41,13 @@ from rmlab.mat2 import (
     moebius_quadirr,
 )
 from rmlab.quaternion import ProjLine, Quat
-from rmlab.rmpoints import Automorph, QForm, is_rm_for, orbit_equivalent
+from rmlab.rmpoints import (
+    Automorph,
+    QForm,
+    in_orbit_component,
+    is_rm_for,
+    orbit_equivalent,
+)
 
 
 def from_ints(q):
@@ -170,6 +190,56 @@ def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
                 if sgn:
                     out[f] = out.get(f, 0) + sgn
     return RMDivisor(out)
+
+
+def box_scan_crossings(seg, base: QForm, p: int, levels: int) -> list:
+    """The segment's crossing orbit forms by a scan of its bounding box:
+    a geodesic of discriminant d through z = x + iy has
+    (2Ax + B)^2 + (2Ay)^2 = d, so |A| <= sqrt(d)/(2 y_min) and 2Ax + B lies
+    in [-sqrt d, sqrt d] for some x in [x_lo, x_hi]; every (A, B) of that
+    box is tested, in the enumerator's order, with its exact filters."""
+    x_lo, x_hi = sorted([seg.z0.x, seg.z1.x])
+    y_min = min(seg.z0.y, seg.z1.y)
+    d0 = base.disc
+    top_disc = d0 * p ** (2 * levels)
+    out = []
+
+    def scan_A(d, A):
+        s = math.isqrt(d)
+        vals = sorted([2 * A * x_lo, 2 * A * x_hi])
+        b_lo = floor_exact(-s - vals[1]) - 1
+        b_hi = floor_exact(s - vals[0]) + 2
+        for B in range(b_lo + (b_lo - d) % 2, b_hi + 1, 2):
+            num = B * B - d
+            if num % (4 * A) != 0:
+                continue
+            C = num // (4 * A)
+            if math.gcd(A, B, C) != 1:
+                continue
+            f = QForm(A, B, C)
+            s0, s1 = side(f, seg.z0), side(f, seg.z1)
+            if s0 != 0 and s0 == s1:
+                continue
+            if not in_orbit_component(f, base, p, top_disc):
+                continue
+            if s0 == 0 or s1 == 0:
+                raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
+            out.append((f, (s1 - s0) // 2))
+
+    for m in range(-levels, levels + 1):
+        if m < 0:
+            q = p ** (-2 * m)
+            if d0 % q != 0:
+                continue
+            d = d0 // q
+        else:
+            d = d0 * p ** (2 * m)
+        a = 1
+        while quad_sign(Fraction(d, 4) - y_min * y_min * (a * a)) >= 0:
+            scan_A(d, a)
+            scan_A(d, -a)
+            a += 1
+    return sorted(out, key=lambda fs: fs[0].triple())
 
 
 def automorph_oracle(form: QForm, p: int, kmax: int, nmax: int) -> Automorph:
