@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Mismatch, PrecisionExhausted
-from .exact import p_free, val_p
+from .exact import val_p
 from .mat2 import Mat, mat, mat_det, mat_mul
 
 INFINITY = object()  # the boundary point at infinity
@@ -60,28 +60,16 @@ class TVertex:
 
 
 def make_vertex(p: int, k: int, u) -> TVertex:
-    """Canonical vertex: u reduced modulo p^k Z_p."""
+    """Canonical vertex: u reduced modulo p^k Z_p.  With u = n / (p^a m),
+    m prime to p, that is r / p^a for r = n m^-1 mod p^(k+a), and 0 once
+    k + a <= 0."""
     u = Fraction(u)
-    den = p_free(u.denominator, p)
-    j = val_p(u.denominator, p)
-    if den != 1:
-        # prime-to-p denominators are p-adic units: clear them modulo p^(k+j)
-        if k + j <= 0:
-            return TVertex(k, Fraction(0))
-        mod = p ** (k + j)
-        num = u.numerator * pow(den, -1, mod) % mod
-        u = Fraction(num, p ** j)
-    if u == 0:
-        return TVertex(k, Fraction(0))
-    v = val_p(u, p)
-    if v >= k:
-        return TVertex(k, Fraction(0))
-    j = max(0, -v)
-    if k + j <= 0:
-        return TVertex(k, Fraction(0))
-    mod = p ** (k + j)
-    num = int(u * p ** j) % mod
-    return TVertex(k, Fraction(num, p ** j))
+    a = val_p(u.denominator, p)
+    if k + a <= 0:
+        return TVertex(k, 0)
+    mod = p ** (k + a)
+    r = u.numerator * pow(u.denominator // p ** a, -1, mod) % mod
+    return TVertex(k, Fraction(r, p ** a))
 
 
 STANDARD = TVertex(0, Fraction(0))

@@ -31,10 +31,6 @@ from .modsym import (
 from .rmpoints import QForm, automorph
 
 
-def _parse_form(text: str) -> QForm:
-    return QForm.parse(text)
-
-
 def _fraction(text: str) -> Fraction:
     """A Fraction argument; a zero denominator is a usage error like any
     other malformed number."""
@@ -101,7 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_automorph(args) -> dict:
-    f = _parse_form(args.form)
+    f = QForm.parse(args.form)
     a = automorph(f, _check_prime(args.p))
     return {
         "form": f.to_json(),
@@ -111,7 +107,7 @@ def cmd_automorph(args) -> dict:
 
 
 def cmd_dv(args) -> dict:
-    f = _parse_form(args.form)
+    f = QForm.parse(args.form)
     div = dv_value(f, _parse_mat(args.gamma), _parse_point(args.x0),
                    _check_prime(args.p), args.levels)
     return {"divisor": div.to_json()}
@@ -140,14 +136,14 @@ def cmd_hecke_cosets(args) -> dict:
 
 
 def cmd_theorem_b(args) -> dict:
-    f = _parse_form(args.form)
+    f = QForm.parse(args.form)
     rep = theorem_b_chain_check(_parse_segment(args.delta), args.n0, args.n1,
                                 f, _check_prime(args.p), args.levels)
     return {"theorem_b": rep}
 
 
 def cmd_antisym(args) -> dict:
-    rep = antisym_experiment(_parse_form(args.f1), _parse_form(args.f2),
+    rep = antisym_experiment(QForm.parse(args.f1), QForm.parse(args.f2),
                              _check_prime(args.p), args.prec,
                              levels=args.levels, radius=args.radius)
     return {"antisym": rep}

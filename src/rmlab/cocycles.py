@@ -317,6 +317,8 @@ def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
     seg1's region; bounds derived from the two bounding boxes."""
     x1l, x1h, y1l, y1h = _seg_ranges(seg1)
     x2l, x2h, y2l, y2h = _seg_ranges(seg2)
+    if det_prime_part < 1:
+        raise ValueError("det_prime_part must be a positive integer")
     labels: set[Label] = set()
     for k in range(radius + 1):
         n = det_prime_part * p ** (2 * k)
@@ -354,10 +356,7 @@ def d1_candidates(seg1: GSegment, seg2: GSegment, p: int, radius: int,
 
 def _add_label(labels: set[Label], g: Label):
     a, b, c, d = g
-    if a * d - b * c <= 0:
-        return
-    gg = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
-    if gg != 1:
+    if math.gcd(a, b, c, d) != 1:
         return  # imprimitive, p-multiples too: a smaller label covers it
     lead = next(v for v in g if v != 0)
     if lead < 0:

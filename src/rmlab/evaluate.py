@@ -114,10 +114,7 @@ def trivial_cocycle_value(tau: QForm, p: int, N: int) -> PTower:
     fundamental automorph unit of tau embedded in the tower."""
     aut = automorph(tau, p)
     c, d = aut.gamma[1]
-    val = tau.root() * c + d
-    D1 = tau.disc
-    return _embed(val if isinstance(val, QuadIrr) else QuadIrr(val, 0, D1),
-                  p, N, D1, 0)
+    return _embed(tau.root() * c + d, p, N, tau.disc, 0)
 
 
 def pair_value(j2, tau: QForm, omega: QForm, p: int) -> PTower:

@@ -90,8 +90,7 @@ def frac_sqrt(q: Fraction) -> Fraction:
 
 
 def val_p(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    q = Fraction(q)
+    """p-adic valuation of a nonzero int or Fraction."""
     if q == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -258,14 +257,7 @@ class QuadIrr:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadIrr(1, 0, self.D)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QuadIrr(1, 0, self.D))
 
     # -- exact order structure
 
@@ -405,12 +397,19 @@ def quadirr_sqrt(x: "QuadIrr") -> "QuadIrr":
     raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite-precision p-adic towers
-
-
-def _inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 class PTower:
@@ -443,7 +442,7 @@ class PTower:
             object.__setattr__(self, "coeffs", (0, 0, 0, 0))
             object.__setattr__(self, "shift", shift)
             return
-        v = min(val_p(x, p) for x in c if x != 0)
+        v = val_p(math.gcd(*c), p)
         if v > 0:
             c = [x // p ** v for x in c]
             prec -= v
@@ -486,7 +485,7 @@ class PTower:
         v = val_p(q, p)
         u = q / Fraction(p) ** v
         m = p ** prec
-        c0 = u.numerator % m * _inv_mod(u.denominator % m, m) % m
+        c0 = u.numerator * pow(u.denominator, -1, m) % m
         return PTower(p, prec, D1, D2, (c0, 0, 0, 0), shift=v)
 
     @staticmethod
@@ -510,9 +509,14 @@ class PTower:
 
     # -- bookkeeping
 
-    def _compat(self, other: "PTower") -> None:
+    def _lift(self, other) -> "PTower":
+        """other as a tower element of self's parameters: a rational is
+        embedded at self's precision, a PTower must share p, D1 and D2."""
+        if isinstance(other, (int, Fraction)):
+            return PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
         if (self.p, self.D1, self.D2) != (other.p, other.D1, other.D2):
             raise MixedDiscriminant("PTower parameters differ")
+        return other
 
     @property
     def abs_prec(self) -> int:
@@ -530,9 +534,7 @@ class PTower:
     # -- arithmetic
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
-        self._compat(other)
+        other = self._lift(other)
         if self.zero and other.zero:
             s = min(self.abs_prec, other.abs_prec)
             return PTower.zero_at(self.p, 1, self.D1, self.D2, shift=s - 1)
@@ -564,16 +566,14 @@ class PTower:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
+            other = self._lift(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
-        self._compat(other)
+        other = self._lift(other)
         if self.zero or other.zero:
             s = self.valuation() + other.valuation()
             return PTower.zero_at(self.p, 1, self.D1, self.D2, shift=s - 1)
@@ -603,42 +603,42 @@ class PTower:
         return PTower(self.p, self.prec, self.D1, self.D2,
                       (c0, c1, -c2, -c3), self.shift)
 
+    def _cofactor(self) -> "PTower":
+        """The product of the three tower conjugates of the element."""
+        x = self.conj_x()
+        return x * self.conj_y() * x.conj_y()
+
     def algebra_norm(self) -> "PTower":
         """Product of the element with its three tower conjugates: a scalar."""
-        return self * self.conj_x() * self.conj_y() * self.conj_x().conj_y()
+        return self * self._cofactor()
 
     def inverse(self) -> "PTower":
         if self.zero:
             raise NotInvertible("zero at precision")
-        n = self.algebra_norm()
+        cof = self._cofactor()
+        n = self * cof
         if n.zero:
             raise NotInvertible("algebra norm vanishes at precision (zero divisor)")
         if n.coeffs[1] or n.coeffs[2] or n.coeffs[3]:
             raise Mismatch("algebra norm is not scalar")  # pragma: no cover
-        cof = self.conj_x() * self.conj_y() * self.conj_x().conj_y()
         prec = min(cof.prec, n.prec)
         mod = self.p ** prec
-        ninv = _inv_mod(n.coeffs[0] % mod, mod)
+        ninv = pow(n.coeffs[0], -1, mod)
         return PTower(self.p, prec, self.D1, self.D2,
                       [c * ninv % mod for c in cof.coeffs],
                       shift=cof.shift - n.shift)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
+        # a divisor from another tower fails in inverse() before the
+        # parameter check in __mul__
+        if not isinstance(other, PTower):
+            other = self._lift(other)
         return self * other.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = PTower.one(self.p, self.prec, self.D1, self.D2)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, PTower.one(self.p, self.prec, self.D1, self.D2))
 
     # -- comparisons
 

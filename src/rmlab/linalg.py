@@ -7,12 +7,6 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _is_zero(x) -> bool:
-    return x == 0
-
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column list)."""
@@ -23,14 +17,14 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not _is_zero(m[i][c])), None)
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = m[r][c]
         m[r] = [x / inv for x in m[r]]
         for i in range(nrows):
-            if i != r and not _is_zero(m[i][c]):
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -49,7 +43,7 @@ def nullspace(rows: list[list]) -> list[list]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     zero = rows[0][0] * 0
-    one = zero + 1 if not isinstance(rows[0][0], Fraction) else Fraction(1)
+    one = zero + 1
     for f in free:
         v = [zero] * ncols
         v[f] = one

@@ -24,7 +24,7 @@ from rmlab.bttree import (
 )
 from rmlab.errors import PrecisionExhausted
 from rmlab.mat2 import mat, mat_det
-from tests_helpers_brute import digit_ray_oracle, sl2zp_generators
+from tests_helpers_brute import digit_ray_oracle, make_vertex_two_stage, sl2zp_generators
 
 
 def test_make_vertex_canonical():
@@ -283,3 +283,15 @@ def test_dot_export():
     patch = patch_of_pair(2, 2, Fraction(0), INFINITY)
     dot = patch.to_dot()
     assert dot.startswith("digraph") and "->" in dot
+
+
+def test_make_vertex_matches_two_stage_oracle():
+    rng = random.Random(18)
+    for _ in range(12000):
+        p = rng.choice((2, 3, 5, 7))
+        k = rng.randint(-5, 9)
+        den = p ** rng.randint(0, 4) * rng.choice((1, 1, rng.randint(1, 200)))
+        u = Fraction(rng.randint(-10 ** 4, 10 ** 4), den)
+        got, want = make_vertex(p, k, u), make_vertex_two_stage(p, k, u)
+        assert (got.k, got.u) == (want.k, want.u)
+        assert repr(got) == repr(want)

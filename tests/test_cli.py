@@ -189,6 +189,31 @@ def test_readme_commands_match_golden_output(tmp_path, monkeypatch, capsys):
         assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
+def test_readme_commands_match_golden_output_under_python_O(tmp_path):
+    # certification checks are not assert statements, so stripping the
+    # asserts changes no report
+    script = (
+        "import contextlib, json, shlex, sys\n"
+        "from rmlab.cli import run\n"
+        "for name, cmd in json.loads(sys.argv[1]).items():\n"
+        "    with open(name + '.out', 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "        code = run(shlex.split(cmd))\n"
+        "    print(name, code, file=sys.stderr)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(README_COMMANDS)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.split() == [w for name in README_COMMANDS for w in (name, "0")]
+    for name in README_COMMANDS:
+        out = (tmp_path / f"{name}.out").read_text()
+        if name == "antisym":
+            assert out == ""
+            out = (tmp_path / "out.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
 def test_python_m_rmlab_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

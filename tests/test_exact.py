@@ -246,3 +246,63 @@ def test_ptower_precision_exhaustion():
     w = PTower(coeffs=(1, 1, 0, 0), p=2, prec=2, D1=5, D2=0)
     with pytest.raises(NotInvertible):
         w.inverse()
+
+
+def _random_tower(rng, p, prec, D1, D2):
+    c = [rng.randint(-p ** 5, p ** 5) * p ** rng.choice((0, 0, 1)) for _ in range(4)]
+    if D1 == 0:
+        c[1] = c[3] = 0
+    if D2 == 0:
+        c[2] = c[3] = 0
+    return PTower(p, prec, D1, D2, c, shift=rng.randint(-2, 2))
+
+
+def _agree(u, v) -> bool:
+    """u and v agree at the lower of their two precisions.  A difference
+    below the noise floor is consistent only when one side is zero at its
+    precision (the other then vanishes to that precision)."""
+    try:
+        return (u - v).is_zero()
+    except PrecisionExhausted:
+        return u.is_zero() or v.is_zero()
+
+
+def test_ptower_and_val_p_identities():
+    rng = random.Random(18)
+    inverted = powered = 0
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7))
+        D1 = rng.choice((0, 2, 3, 5, 6, 7, 10, p, 3 * p))
+        D2 = rng.choice((0, 2, 3, 5, 13, p, 2 * p))
+        a = _random_tower(rng, p, rng.randint(3, 10), D1, D2)
+        n = a.algebra_norm()
+        assert n.is_zero() or n.coeffs[1:] == (0, 0, 0)
+        try:
+            inv = a.inverse()
+        except NotInvertible:
+            assert a.is_zero() or n.is_zero()
+            continue
+        assert _agree(a * inv, PTower.one(p, a.prec, D1, D2))
+        inverted += 1
+        e = rng.randint(1, 4)
+        try:
+            rhs = (a ** e).inverse()
+        except NotInvertible:
+            continue  # a ** e lost the digits that carry its norm
+        assert _agree(a ** -e, rhs)
+        powered += 1
+    assert inverted >= 500 and powered >= 500
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        D = rng.choice((2, 3, 5, 6, 7, p))
+        b = _random_tower(rng, p, 8, D, D)
+        # x - y is a zero divisor when x^2 = y^2
+        z = b * (PTower.gen_x(p, 8, D, D) - PTower.gen_y(p, 8, D, D))
+        with pytest.raises(NotInvertible):
+            z.inverse()
+        with pytest.raises(NotInvertible):
+            b / z
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * p ** rng.randint(0, 4)
+        assert val_p(n, p) == val_p(Fraction(n), p)

@@ -323,6 +323,21 @@ def test_kudla_millson_rejects_p_multiples():
         kudla_millson(2, km_chain(), 2, 1)
 
 
+def test_d1_candidates_are_primitive_with_det_n_p_2k():
+    from rmlab.cocycles import d1_candidates
+
+    c = km_chain()
+    for n, p in ((1, 2), (2, 3)):
+        labels = d1_candidates(c.seg1, c.seg2, p, 1, det_prime_part=n)
+        assert labels
+        for a, b, cc, d in labels:
+            assert math.gcd(a, b, cc, d) == 1
+            assert a * d - b * cc in (n, n * p * p)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            d1_candidates(c.seg1, c.seg2, 3, 1, det_prime_part=n)
+
+
 def test_act_preserves_cocycle_law():
     # the Hecke-translated cochain still satisfies the cocycle identity
     from rmlab.hyperbolic import moebius_point

@@ -28,8 +28,8 @@ from rmlab.hyperbolic import (
     winding_oracle,
 )
 from rmlab.mat2 import mat, mat_det, mat_inv, mat_mul, pull_back
-from rmlab.rmpoints import QForm, automorph, form_apply, is_rm_for, orbit_equivalent
-from tests_helpers_brute import box_scan_crossings, float_walk_crossing
+from rmlab.rmpoints import QForm, automorph, form_apply, is_rm_for
+from tests_helpers_brute import box_scan_crossings, brute_force_crossings, float_walk_crossing
 
 GOLDEN = QForm(1, -1, -1)
 APEX = point_on_geodesic(GOLDEN, 1)
@@ -328,38 +328,6 @@ def test_rational_points_decide_signs_by_weights(x, y, held_as_quadirr, field, k
         except ValueError:
             return  # not a primitive indefinite form
         assert side(f, z) == expect
-
-
-def brute_force_crossings(segment, base, p, levels):
-    """Independent scan: all primitive forms with |A|, |B| <= 10 at each
-    admissible discriminant, filtered by crossing and orbit membership."""
-    out = []
-    d0 = base.disc
-    for m in range(-levels, levels + 1):
-        if m < 0:
-            q = p ** (-2 * m)
-            if d0 % q:
-                continue
-            d = d0 // q
-        else:
-            d = d0 * p ** (2 * m)
-        for A in range(-10, 11):
-            if A == 0:
-                continue
-            for B in range(-10, 11):
-                num = B * B - d
-                if num % (4 * A):
-                    continue
-                C = num // (4 * A)
-                if math.gcd(math.gcd(abs(A), abs(B)), abs(C)) != 1:
-                    continue
-                f = QForm(A, B, C)
-                if not orbit_equivalent(f, base, p):
-                    continue
-                sgn = cross_segment(segment, f)
-                if sgn:
-                    out.append((f, sgn))
-    return sorted(out, key=lambda fs: fs[0].triple())
 
 
 def test_enumerate_crossing_orbit_matches_brute_force():

@@ -102,6 +102,32 @@ def right_coset_key_fraction(g, p: int):
     return (int(a), b_red, c0, t)
 
 
+def make_vertex_two_stage(p: int, k: int, u) -> TVertex:
+    """The vertex (k, u mod p^k Z_p) in two stages: clear the prime-to-p
+    part of u's denominator modulo p^(k+j), then reduce the p-power
+    fraction modulo p^k."""
+    u = Fraction(u)
+    den = p_free(u.denominator, p)
+    j = val_p(u.denominator, p)
+    if den != 1:
+        if k + j <= 0:
+            return TVertex(k, Fraction(0))
+        mod = p ** (k + j)
+        num = u.numerator * pow(den, -1, mod) % mod
+        u = Fraction(num, p ** j)
+    if u == 0:
+        return TVertex(k, Fraction(0))
+    v = val_p(u, p)
+    if v >= k:
+        return TVertex(k, Fraction(0))
+    j = max(0, -v)
+    if k + j <= 0:
+        return TVertex(k, Fraction(0))
+    mod = p ** (k + j)
+    num = int(u * p ** j) % mod
+    return TVertex(k, Fraction(num, p ** j))
+
+
 def pell4_scan(D: int, cap: int):
     """Minimal (t, u) with t^2 - D u^2 = 4 by a linear scan over u < cap;
     None when the scan does not finish."""
@@ -158,12 +184,11 @@ def coset_closure(label, p: int):
     return [key_to_matrix(k, p) for k in sorted(seen)]
 
 
-def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
-    """Exhaustive |A|, |B| <= 10 scan of crossing orbit geodesics."""
-    segment = chain_segment(gamma, x0)
-    if segment is None:
-        return RMDivisor()
-    out = {}
+def brute_force_crossings(segment, base: QForm, p: int, levels: int) -> list:
+    """Independent scan: all primitive forms with |A|, |B| <= 10 at each
+    admissible discriminant, filtered by orbit membership and crossing;
+    sorted (form, sign) pairs."""
+    out = []
     d0 = base.disc
     for m in range(-levels, levels + 1):
         if m < 0:
@@ -181,15 +206,23 @@ def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
                 if num % (4 * A):
                     continue
                 C = num // (4 * A)
-                if math.gcd(math.gcd(abs(A), abs(B)), abs(C)) != 1:
+                if math.gcd(A, B, C) != 1:
                     continue
                 f = QForm(A, B, C)
                 if not orbit_equivalent(f, base, p):
                     continue
                 sgn = cross_segment(segment, f)
                 if sgn:
-                    out[f] = out.get(f, 0) + sgn
-    return RMDivisor(out)
+                    out.append((f, sgn))
+    return sorted(out, key=lambda fs: fs[0].triple())
+
+
+def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
+    """The crossing divisor of x0 -> gamma x0 by the |A|, |B| <= 10 scan."""
+    segment = chain_segment(gamma, x0)
+    if segment is None:
+        return RMDivisor()
+    return RMDivisor(dict(brute_force_crossings(segment, base, p, levels)))
 
 
 def box_scan_crossings(seg, base: QForm, p: int, levels: int) -> list:
