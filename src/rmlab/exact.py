@@ -220,7 +220,7 @@ class QuadIrr:
         return _new_quad(-self.a, -self.b, self.D)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadIrr) else -Fraction(other))
+        return self + (-other if isinstance(other, QuadIrr) else -self._align(other)[1])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -228,6 +228,8 @@ class QuadIrr:
     def __mul__(self, other):
         if isinstance(other, QuadIrr) and self.D == other.D:
             x, y = self, other
+        elif type(other) is Fraction or type(other) is int:
+            return _new_quad(self.a * other, self.b * other, self.D)
         else:
             x, y = self._align(other)
         return _new_quad(x.a * y.a + x.b * y.b * x.D,
@@ -514,6 +516,8 @@ class PTower:
         embedded at self's precision, a PTower must share p, D1 and D2."""
         if isinstance(other, (int, Fraction)):
             return PTower.from_rational(other, self.p, self.prec, self.D1, self.D2)
+        if not isinstance(other, PTower):
+            raise TypeError(f"cannot combine PTower with {type(other)}")
         if (self.p, self.D1, self.D2) != (other.p, other.D1, other.D2):
             raise MixedDiscriminant("PTower parameters differ")
         return other

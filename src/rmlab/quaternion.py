@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, NonSquareNorm, NotInvertible, NotIsotropic
-from .exact import QuadIrr, frac_is_square, frac_sqrt, quadirr_sqrt
+from .exact import QuadIrr
 from .linalg import nullspace  # noqa: F401 - perfbench traces rmlab.linalg.nullspace
 
 
@@ -243,61 +243,54 @@ class ProjLine:
         return ProjLine.from_quat(g * self.quat() * g.inverse(), self.space)
 
 
+def _nonzero(*v):
+    return None if all(c == 0 for c in v) else v
+
+
 def kernel_lines(u: Quat) -> tuple[ProjLine, ProjLine]:
     """(left, right) kernel lines of an isotropic u: spans of ker(l_u)_0
     and ker(r_u)_0 inside the pure quaternions.
 
     As u conj(u) = conj(u) u = nrd(u) = 0, ker(l_u) = conj(u) B and
-    ker(r_u) = B conj(u); with w = trd(conj(u) e) - trd(conj(u)) e the
-    products conj(u) w and w conj(u) have trace zero, and the first of
-    e = i, j, k that makes one nonzero spans that side's line."""
+    ker(r_u) = B conj(u).  For w = (a x, t, 0, 0), (b y, 0, t, 0) and
+    (-ab z, 0, 0, t) the products conj(u) w and w conj(u) are pure closed
+    forms in u's coordinates; the first nonzero one spans that side's line
+    (for u != 0 they do not all vanish)."""
     if u.is_zero():
         raise NotIsotropic("zero vector")
     if u.nrd() != 0:
         raise NotIsotropic("kernel lines exist only for isotropic vectors")
-    alg, ub = u.alg, u.conj()
-    ws = [alg.one().scale((ub * e).trd()) - e.scale(ub.trd())
-          for e in (alg.gen_i(), alg.gen_j(), alg.gen_k())]
-    left = next(v for v in (ub * w for w in ws) if not v.is_zero())
-    right = next(v for v in (w * ub for w in ws) if not v.is_zero())
-    return ProjLine.from_quat(left, "B0"), ProjLine.from_quat(right, "B0")
+    a, b = u.alg.a, u.alg.b
+    t, x, y, z = coords = u.coords()
+    D = next((c.D for c in coords if type(c) is QuadIrr), None)
+    if D is not None:  # one QuadIrr coordinate makes every entry of both lines a QuadIrr
+        t, x, y, z = (c if type(c) is QuadIrr else QuadIrr(c, 0, D) for c in coords)
+    tt = t * t
+    left = (_nonzero(tt - a * x * x, a * (t * z - x * y), t * y - a * x * z)
+            or _nonzero(-b * (t * z + x * y), tt - b * y * y, -(t * x + b * y * z))
+            or (b * (t * y + a * x * z), -a * (t * x - b * y * z), tt + a * b * z * z))
+    right = (_nonzero(tt - a * x * x, -a * (t * z + x * y), -(t * y + a * x * z))
+             or _nonzero(b * (t * z - x * y), tt - b * y * y, t * x - b * y * z)
+             or (-b * (t * y - a * x * z), a * (t * x + b * y * z), tt + a * b * z * z))
+    return ProjLine((tt * 0, *left), "B0", u.alg), ProjLine((tt * 0, *right), "B0", u.alg)
 
 
 def quadric_split(line: ProjLine) -> tuple[ProjLine, ProjLine]:
     """Isotropic line [u] in B  ->  (ker(r_u)_0, ker(l_u)_0)."""
-    u = line.quat()
-    if u.nrd() != 0:
-        raise NotIsotropic("line is not on the quadric")
-    left, right = kernel_lines(u)
+    left, right = kernel_lines(line.quat())
     return right, left
 
 
 def quadric_unsplit(u1: ProjLine, u2: ProjLine) -> ProjLine:
-    """Inverse of quadric_split: pair of isotropic B0-lines -> line in B."""
+    """Inverse of quadric_split: pair of isotropic B0-lines -> line in B, that
+    of q1 q2 for distinct lines, checked to satisfy q1 u = 0 = u q2."""
     for line in (u1, u2):
         if line.space != "B0" or line.quat().nrd() != 0:
             raise NotIsotropic("inputs must be isotropic B0 lines")
     if u1 == u2:
         return ProjLine(u1.vec, "B", u1.alg)
     q1, q2 = u1.quat(), u2.quat()
-    alg = q1.alg
-    # the commutator of two independent pure quaternions is pure and
-    # orthogonal to both: it spans the complement of u1 + u2 inside B0
-    alpha = q1 * q2 - q2 * q1
-    sq = -alpha.nrd()  # alpha^2
-    if isinstance(sq, QuadIrr):
-        try:
-            r = quadirr_sqrt(sq)
-        except ValueError as exc:
-            raise NonSquareNorm(str(exc)) from exc
-    else:
-        if not frac_is_square(sq):
-            raise NonSquareNorm(f"-nrd(alpha) = {sq} is not a square")
-        r = frac_sqrt(sq)
-    # quadric_split(u) = (ker r_u, ker l_u) in B0, each a line, and
-    # conjugating u swaps the two; u1 u = 0 and u u2 = 0 pick the preimage
-    cand = alg.one().scale(r) + alpha
-    for u in (cand, cand.conj()):
-        if (q1 * u).is_zero() and (u * q2).is_zero():
-            return ProjLine.from_quat(u, "B")
-    raise NonSquareNorm("round-trip failed for both candidates")  # pragma: no cover
+    u = q1 * q2
+    if (q1 * u).is_zero() and (u * q2).is_zero():
+        return ProjLine.from_quat(u, "B")
+    raise NonSquareNorm("q1 q2 fails the kernel check")  # pragma: no cover

@@ -9,9 +9,7 @@ from fractions import Fraction
 from rmlab.bttree import (
     CochainPatch,
     INFINITY,
-    TEdge,
     check_harmonic,
-    neighbors,
     reduce_point,
     vdp_residue,
 )
@@ -26,11 +24,9 @@ from rmlab.evaluate import antisym_experiment, trivial_cocycle_value
 from rmlab.exact import PTower
 from rmlab.hecke import HeckeElt, act_on_dv, coset_reps_Tn, hecke_mul, kudla_millson
 from rmlab.hyperbolic import GSegment, HPoint, ez_cross, moebius_point, winding_oracle
-from rmlab.mat2 import mat, mat_inv, mat_mul
+from rmlab.mat2 import mat, mat_inv
 from rmlab.modsym import (
     build_space,
-    cuspidal_subspace,
-    dimension_formula,
     generating_series_check,
     hecke_matrix,
 )

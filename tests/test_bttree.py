@@ -17,7 +17,6 @@ from rmlab.bttree import (
     reduce_point,
     tree_distance,
     tree_path,
-    vertex_matrix,
     vertex_parity,
     vertex_witness,
     vdp_residue,

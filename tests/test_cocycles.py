@@ -11,7 +11,6 @@ from rmlab.cocycles import (
     RMDivisor,
     RQDivisor,
     canonical_label,
-    chain_segment,
     cocycle_defect,
     d1_value,
     dv_value,
@@ -35,7 +34,7 @@ from rmlab.hyperbolic import (
     point_on_geodesic,
     winding_oracle,
 )
-from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
+from rmlab.mat2 import IDENT, mat, mat_inv
 from rmlab.rmpoints import QForm, automorph, form_apply, form_of_disc, orbit_conjugator
 from tests_helpers_brute import from_ints, mat_neg, scan_inner_sum
 
@@ -288,8 +287,6 @@ def test_dv_base_point_coboundary():
         rhs = dv_value(GOLDEN, g, X0, 2, 1 + ext)
         e_seg = GSegment(X0, x1)
         e_div = dv_value_on_segment(GOLDEN, e_seg, 2, 1 + ext)
-        from rmlab.mat2 import mat_det
-
         combined = rhs + e_div.act(g) - e_div
         assert lhs.restrict_levels(GOLDEN.disc, 2, 1) == \
             combined.restrict_levels(GOLDEN.disc, 2, 1)

@@ -18,7 +18,7 @@ from rmlab.evaluate import (
     value_at,
 )
 import rmlab.evaluate as evaluate
-from rmlab.exact import PTower, QuadIrr
+from rmlab.exact import PTower
 from rmlab.hyperbolic import HPoint
 from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm, automorph, rm_discs_up_to, form_of_disc

@@ -82,6 +82,34 @@ def test_quadirr_field_ops():
     assert QuadIrr(0, 1, 20) + QuadIrr(0, 1, 5) == QuadIrr(0, 3, 5)
 
 
+def test_quadirr_times_rational_agrees_with_the_embedded_rational():
+    rng = random.Random(4)
+    rationals = [0, 1, -1, 7, -12, Fraction(0), Fraction(-3, 4), Fraction(5, 9), True, False]
+    for _ in range(400):
+        q = QuadIrr(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 6)) * rng.randint(0, 1),
+                    rng.choice([2, 5, 8, 13]))
+        r = rng.choice(rationals + [rng.randint(-50, 50),
+                                    Fraction(rng.randint(-50, 50), rng.randint(1, 9))])
+        expect = q * QuadIrr(r, 0, q.D)
+        for got in (q * r, r * q):
+            assert (got.a, got.b, got.D) == (expect.a, expect.b, expect.D)
+            assert type(got.a) is type(expect.a) is Fraction
+            assert type(got.b) is type(expect.b) is Fraction
+
+
+def test_quadirr_subtraction_coerces_like_addition():
+    q = QuadIrr(1, 1, 5)
+    assert q - 2 == QuadIrr(-1, 1, 5) and q - Fraction(1, 2) == QuadIrr(Fraction(1, 2), 1, 5)
+    assert q - QuadIrr(1, 1, 20) == QuadIrr(0, -1, 5)
+    for other in (1.5, "x", "1/2"):
+        for op in (lambda: q + other, lambda: q - other, lambda: q * other):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        1.5 - q
+
+
 def test_square_core_and_canonical():
     assert square_core(20) == (5, 2)
     assert square_core(8) == (2, 2)
@@ -246,6 +274,22 @@ def test_ptower_precision_exhaustion():
     w = PTower(coeffs=(1, 1, 0, 0), p=2, prec=2, D1=5, D2=0)
     with pytest.raises(NotInvertible):
         w.inverse()
+
+
+def test_ptower_rejects_foreign_operands_with_type_error():
+    t = PTower.one(3, 5, 5, 0)
+    for other in ("x", 1.5):
+        for op in (lambda: t + other, lambda: other + t, lambda: t - other,
+                   lambda: other - t, lambda: t * other, lambda: other * t,
+                   lambda: t / other):
+            with pytest.raises(TypeError):
+                op()
+    # rationals and towers of the same parameters still combine
+    assert (t + 2).eq_at_precision(PTower.from_rational(3, 3, 5, 5, 0))
+    half = PTower.from_rational(Fraction(1, 2), 3, 5, 5, 0)
+    assert (t * Fraction(1, 2) / t).eq_at_precision(half)
+    with pytest.raises(MixedDiscriminant):
+        t + PTower.one(3, 5, 2, 0)
 
 
 def _random_tower(rng, p, prec, D1, D2):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rmlab.cocycles import ChainSquare, RQDivisor, dv_value_on_segment, sigma_swap
 from rmlab.hecke import (
-    CosetList,
     HeckeElt,
     act_on_dv,
     coset_reps_Tn,

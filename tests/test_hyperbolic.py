@@ -27,7 +27,7 @@ from rmlab.hyperbolic import (
     side,
     winding_oracle,
 )
-from rmlab.mat2 import mat, mat_det, mat_inv, mat_mul, pull_back
+from rmlab.mat2 import mat, mat_det, mat_inv, pull_back
 from rmlab.rmpoints import QForm, automorph, form_apply, is_rm_for
 from tests_helpers_brute import box_scan_crossings, brute_force_crossings, float_walk_crossing
 

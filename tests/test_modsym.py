@@ -1,9 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-from rmlab.errors import Inconsistent
-from rmlab.linalg import mat_vec
 from rmlab.modsym import (
     atkin_lehner_matrix,
     build_space,

@@ -49,3 +49,30 @@ def test_perfbench_tracer_targets_exist():
     assert missing == []
     assert isinstance(importlib.import_module("rmlab.rmpoints")._CLASS_KEY_CACHE, dict)
     assert isinstance(importlib.import_module("rmlab.hecke")._COSET_CACHE, dict)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds in path and nothing else in the file reads;
+    an import marked ``# noqa: F401`` is kept on purpose."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}:{name}")
+    return found
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [name for path in paths for name in _unused_imports(path)] == []

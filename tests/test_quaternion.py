@@ -18,7 +18,7 @@ from rmlab.quaternion import (
     quadric_split,
     quadric_unsplit,
 )
-from tests_helpers_brute import kernel_lines_nullspace, mult_matrix
+from tests_helpers_brute import kernel_lines_nullspace, mult_matrix, quadric_unsplit_commutator
 
 
 def rand_quat(rng, alg=SPLIT, span=9):
@@ -293,6 +293,70 @@ def test_closed_forms_match_nullspace_oracle():
         for u in (alg.one(), alg.quat(0, 0, 0, 0)):
             with pytest.raises(NotIsotropic):
                 kernel_lines(u)
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc).__name__
+
+
+def test_unsplit_matches_commutator_oracle():
+    # l1 from the split of one isotropic vector, l2 from that of another,
+    # either line of each pair, per algebra and field; the pure quaternions
+    # are a nondegenerate ternary space, so the orthogonal pairs are the
+    # pairs of equal lines
+    splits = {}
+    for u in oracle_families():
+        splits.setdefault((u.alg, getattr(u.t, "D", None)), []).append(
+            quadric_split(ProjLine.from_quat(u, "B")))
+    rng = random.Random(21)
+    orthogonal = compared = 0
+    for group in splits.values():
+        for _ in range(300):
+            l1 = rng.choice(group)[rng.randint(0, 1)]
+            l2 = l1 if rng.random() < 0.1 else rng.choice(group)[rng.randint(0, 1)]
+            got = outcome(quadric_unsplit, l1, l2)
+            assert got == outcome(quadric_unsplit_commutator, l1, l2)
+            assert got.startswith("ProjLine")
+            orthogonal += bilinear(l1.quat(), l2.quat()) == 0
+            compared += 1
+    assert compared >= 2_000 and orthogonal >= 150
+
+
+def mixed_isotropic(rng, field):
+    """Random rank-one matrix over Q(sqrt field) whose entries mix QuadIrr
+    values, QuadIrr values with b = 0 and Fractions; rational coordinates
+    of the result are sometimes stored as Fractions."""
+    def entry():
+        r = rng.random()
+        if r < 0.2:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if r < 0.4:
+            return QuadIrr(rng.randint(-3, 3), 0, field)
+        return QuadIrr(rng.randint(-3, 3), rng.randint(-3, 3), field)
+    while True:
+        x0, x1, y0, y1 = (entry() for _ in range(4))
+        u = Quat.from_matrix([[x0 * y0, x0 * y1], [x1 * y0, x1 * y1]])
+        u = Quat(*(c.a if isinstance(c, QuadIrr) and c.b == 0 and rng.random() < 0.5 else c
+                   for c in u.coords()))
+        if not u.is_zero():
+            return u
+
+
+def test_kernel_lines_match_nullspace_oracle_on_mixed_entries():
+    rng = random.Random(22)
+    mixed = 0
+    for field in (2, 5, 8, 13):
+        for _ in range(150):
+            u = mixed_isotropic(rng, field)
+            kinds = {type(c) for c in u.coords()}
+            if QuadIrr not in kinds:
+                continue
+            mixed += Fraction in kinds
+            assert repr(kernel_lines(u)) == repr(kernel_lines_nullspace(u))
+    assert mixed >= 50
 
 
 def test_projline_hash_agrees_with_equality():

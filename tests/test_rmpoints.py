@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from rmlab.errors import DoesNotStabilize, Mismatch, NotRM
 from rmlab.exact import QuadIrr, is_square_int, quad_sign
 from rmlab.mat2 import mat, mat_det, mat_mul, moebius_quadirr
 from rmlab.rmpoints import (
-    Automorph,
     QForm,
     automorph,
     class_key,

@@ -18,13 +18,18 @@ from rmlab.errors import (
     DegenerateEndpoint,
     Mismatch,
     MixedDiscriminant,
+    NonSquareNorm,
+    NotIsotropic,
 )
 from rmlab.exact import (
     QuadIrr,
     divisors,
     floor_exact,
+    frac_is_square,
+    frac_sqrt,
     p_free,
     quad_sign,
+    quadirr_sqrt,
     sigma1,
     val_p,
     xgcd,
@@ -392,6 +397,35 @@ def kernel_lines_nullspace(u: Quat):
         assert len(basis) == 1, f"kernel in B0 has dimension {len(basis)}"
         out.append(ProjLine(basis[0], "B0", u.alg))
     return out[0], out[1]
+
+
+def quadric_unsplit_commutator(u1: ProjLine, u2: ProjLine) -> ProjLine:
+    """quadric_unsplit by the commutator and a square root: the commutator
+    alpha = q1 q2 - q2 q1 squares to a scalar r^2, and of r + alpha and its
+    conjugate the one that q1 kills on the left and q2 on the right spans
+    the preimage."""
+    for line in (u1, u2):
+        if line.space != "B0" or line.quat().nrd() != 0:
+            raise NotIsotropic("inputs must be isotropic B0 lines")
+    if u1 == u2:
+        return ProjLine(u1.vec, "B", u1.alg)
+    q1, q2 = u1.quat(), u2.quat()
+    alpha = q1 * q2 - q2 * q1
+    sq = -alpha.nrd()  # alpha^2
+    if isinstance(sq, QuadIrr):
+        try:
+            r = quadirr_sqrt(sq)
+        except ValueError as exc:
+            raise NonSquareNorm(str(exc)) from exc
+    else:
+        if not frac_is_square(sq):
+            raise NonSquareNorm(f"-nrd(alpha) = {sq} is not a square")
+        r = frac_sqrt(sq)
+    cand = q1.alg.one().scale(r) + alpha
+    for u in (cand, cand.conj()):
+        if (q1 * u).is_zero() and (u * q2).is_zero():
+            return ProjLine.from_quat(u, "B")
+    raise NonSquareNorm("round-trip failed for both candidates")
 
 
 def scan_inner_sum(delta, seg, beta, gamma) -> int:
