@@ -26,6 +26,7 @@ from .modsym import (
     build_space,
     dimension_formula,
     generating_series_check,
+    hecke_matrices,
     m2_basis_qexp,
 )
 from .rmpoints import QForm, automorph
@@ -175,11 +176,12 @@ def cmd_modform(args) -> dict:
     if args.nterms < dim_m2:  # dim_m2 forms are independent on >= dim_m2 terms only
         raise UsageError(f"--nterms must be at least dim M2 = {dim_m2}: {args.nterms}")
     basis = build_space(n)
-    qs = m2_basis_qexp(n, basis, args.nterms)
+    hecke = hecke_matrices(basis, args.nterms)
+    qs = m2_basis_qexp(basis, hecke)
     series = []
     for i in range(basis.dim):
         u = [Fraction(int(j == i)) for j in range(basis.dim)]
-        res = generating_series_check(u, n, basis, args.nterms)
+        res = generating_series_check(u, basis, hecke)
         series.append([str(x) for x in res["constant_term"]])
     return {
         "level": n,

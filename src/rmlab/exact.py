@@ -195,16 +195,14 @@ class QuadIrr:
             return self, _new_quad(other.a, _F0, self.D)
         if self.b == 0:
             return _new_quad(self.a, _F0, other.D), other
-        # allow sqrt(D2) = t*sqrt(D1) when D2/D1 is a rational square
-        ratio = Fraction(other.D, self.D)
-        if frac_is_square(ratio):
-            t = frac_sqrt(ratio)
-            return self, QuadIrr(other.a, other.b * t, self.D)
-        ratio = Fraction(self.D, other.D)
-        if frac_is_square(ratio):
-            t = frac_sqrt(ratio)
-            return QuadIrr(self.a, self.b * t, other.D), other
-        raise MixedDiscriminant(f"incompatible discriminants {self.D}, {other.D}")
+        # allow sqrt(D2) = t*sqrt(D1) when D2/D1 is a rational square; both
+        # operands go over the smaller label, whichever side carries it
+        small, big = (self, other) if self.D < other.D else (other, self)
+        ratio = Fraction(big.D, small.D)
+        if not frac_is_square(ratio):
+            raise MixedDiscriminant(f"incompatible discriminants {self.D}, {other.D}")
+        big = _new_quad(big.a, big.b * frac_sqrt(ratio), small.D)
+        return (small, big) if small is self else (big, small)
 
     # -- ring structure
 

@@ -120,7 +120,8 @@ def coset_reps_Tn(n: int, p: int) -> CosetList:
     """Right-coset representatives for the reduced-norm-n Hecke symbol.
 
     gcd(n, p) = 1: the sigma_1(n) upper-triangular matrices, which stay
-    pairwise inequivalent over SL2(Z[1/p]).  n = p: the p+1 lattice
+    pairwise inequivalent over SL2(Z[1/p]): the Hermite keys of T_n's
+    double cosets, in sorted key order.  n = p: the p+1 lattice
     neighbors (SL2(Z)-level data; over SL2(Z[1/p]) they collapse to the
     single coset of diag(1, p)).  Composite p | n: assembled from the
     coprime part and the p-power part via the algebra relations.
@@ -128,16 +129,10 @@ def coset_reps_Tn(n: int, p: int) -> CosetList:
     if n < 1:
         raise ValueError("n must be positive")
     if math.gcd(n, p) == 1:
-        reps = []
-        for a in range(1, n + 1):
-            if n % a:
-                continue
-            d = n // a
-            for b in range(d):
-                reps.append(mat(a, b, 0, d))
-        out = CosetList(tuple(reps), n, p, "zp")
+        keys = sorted(k for lbl in HeckeElt.Tn(n, p).terms for k in _coset_keys(lbl, p))
+        out = CosetList(tuple(key_to_matrix(k, p) for k in keys), n, p, "zp")
         _check_pairwise(out)
-        if len(reps) != sigma1(n):
+        if len(keys) != sigma1(n):
             raise Mismatch("coset count differs from sigma_1(n)")
         return out
     if n == p:
@@ -278,11 +273,11 @@ def act_on_dv(t: HeckeElt, base: QForm, segment: GSegment | None, p: int,
               levels: int) -> RMDivisor:
     """Value of the Hecke-translated one-variable cocycle on the chain:
     sum over right cosets alpha of alpha^{-1} . (value on alpha . chain)."""
+    if segment is None:
+        return RMDivisor()
     total = RMDivisor()
     for lbl, coeff in t.terms.items():
         for alpha in cosets_of_label(lbl, p):
-            if segment is None:
-                continue
             moved = segment.transported(alpha)
             ainv = mat_inv(alpha)
             ext = 2 * p_exponent(ainv, p)

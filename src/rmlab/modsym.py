@@ -18,36 +18,28 @@ from .linalg import mat_vec, nullspace, rref, solve
 
 
 class P1List:
-    """Representatives of P^1(Z/N) with a canonical reduce."""
+    """Representatives of P^1(Z/N): a pair (c, d) with gcd(c, d, N) = 1
+    reduces to the least member of its orbit under the units of Z/N, read
+    off a table built once."""
 
     def __init__(self, N: int):
         self.N = N
-        reps = set()
+        units = [u for u in range(N) if math.gcd(u, N) == 1]
+        self.reps = []
+        self._least = {}
         for c in range(N):
             for d in range(N):
-                r = self.reduce((c, d))
-                if r is not None:
-                    reps.add(r)
-        self.reps = sorted(reps)
+                if (c, d) in self._least or math.gcd(c, d, N) > 1:
+                    continue
+                # met in lexicographic order, (c, d) is its orbit's least member
+                self.reps.append((c, d))
+                for u in units:
+                    self._least[(u * c % N, u * d % N)] = (c, d)
         self.index = {r: i for i, r in enumerate(self.reps)}
 
     def reduce(self, cd):
-        N = self.N
-        c, d = cd[0] % N, cd[1] % N
-        if N == 1:
-            return (0, 0)
-        g = math.gcd(math.gcd(c, d), N)
-        if g > 1:
-            return None
-        # scale by the units of Z/N to a canonical representative
-        best = None
-        for u in range(1, N):
-            if math.gcd(u, N) != 1:
-                continue
-            cand = ((u * c) % N, (u * d) % N)
-            if best is None or cand < best:
-                best = cand
-        return best
+        """The representative of (c, d), or None when gcd(c, d, N) > 1."""
+        return self._least.get((cd[0] % self.N, cd[1] % self.N))
 
     def __len__(self):
         return len(self.reps)
@@ -178,13 +170,8 @@ def merel_set(n: int):
                         yield (a, b, bc // b, d)
 
 
-@dataclass
-class HeckeMatrix:
-    n: int
-    matrix: list[list[Fraction]]
-
-
-def hecke_matrix(n: int, basis: ManinBasis) -> HeckeMatrix:
+def hecke_matrix(n: int, basis: ManinBasis) -> list[list[Fraction]]:
+    """The matrix of T_n on the free generators (columns are images)."""
     N = basis.N
     cols = []
     for j in basis.free:
@@ -197,8 +184,12 @@ def hecke_matrix(n: int, basis: ManinBasis) -> HeckeMatrix:
             v = basis.symbol_vector(img)
             acc = [x + y for x, y in zip(acc, v)]
         cols.append(acc)
-    matrix = [[cols[j][i] for j in range(basis.dim)] for i in range(basis.dim)]
-    return HeckeMatrix(n, matrix)
+    return [[cols[j][i] for j in range(basis.dim)] for i in range(basis.dim)]
+
+
+def hecke_matrices(basis: ManinBasis, nmax: int) -> list[list[list[Fraction]]]:
+    """[T_1, ..., T_nmax]: each matrix built once, for callers to hand down."""
+    return [hecke_matrix(n, basis) for n in range(1, nmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +270,16 @@ def cuspidal_subspace(basis: ManinBasis) -> list[list[Fraction]]:
     return ker
 
 
-def cusp_eigenvalue(n: int, basis: ManinBasis, cusp_basis) -> Fraction:
-    """Eigenvalue of T_n on the (assumed Hecke-scalar) cuspidal subspace."""
-    tn = hecke_matrix(n, basis).matrix
+def cusp_eigenvalue(tn, cusp_basis) -> Fraction:
+    """Eigenvalue of the Hecke matrix tn on the (assumed Hecke-scalar)
+    cuspidal subspace."""
+    cols = [list(r) for r in zip(*cusp_basis)]
+    for w in cusp_basis:
+        if solve(cols, mat_vec(tn, w)) is None:
+            raise Mismatch("Hecke operator does not preserve the cusp space")
     v = cusp_basis[0]
     tv = mat_vec(tn, v)
     lam = None
-    for w in cusp_basis:
-        tw = mat_vec(tn, w)
-        sol = _in_span(cusp_basis, tw)
-        if sol is None:
-            raise Mismatch("Hecke operator does not preserve the cusp space")
     for i, x in enumerate(v):
         if x != 0:
             lam = tv[i] / x
@@ -299,11 +289,6 @@ def cusp_eigenvalue(n: int, basis: ManinBasis, cusp_basis) -> Fraction:
     if [lam * x for x in v] != tv:
         raise Mismatch("cuspidal space is not Hecke-scalar at this level")
     return lam
-
-
-def _in_span(rows, target):
-    cols = [list(r) for r in zip(*rows)]
-    return solve(cols, list(target))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +306,16 @@ def eisenstein_qexp(d: int, nmax: int) -> list[Fraction]:
     return out
 
 
-def m2_basis_qexp(N: int, basis: ManinBasis, nmax: int) -> list[list[Fraction]]:
+def m2_basis_qexp(basis: ManinBasis, hecke) -> list[list[Fraction]]:
     """q-expansions (a_0 .. a_nmax) of an explicit basis of M_2(Gamma_0(N), Q):
     level-raised Eisenstein series plus the cuspidal eigenforms read off the
-    symbol space."""
-    q = [eisenstein_qexp(d, nmax) for d in divisors(N) if d > 1]
+    symbol space.  hecke[n - 1] is the matrix T_n, and nmax = len(hecke)."""
+    N = basis.N
+    q = [eisenstein_qexp(d, len(hecke)) for d in divisors(N) if d > 1]
     g, _, _ = dimension_formula(N)
     if g > 0:
         cb = cuspidal_subspace(basis)
-        coeffs = [Fraction(0)] + [cusp_eigenvalue(n, basis, cb)
-                                  for n in range(1, nmax + 1)]
-        q.append(coeffs)
+        q.append([Fraction(0)] + [cusp_eigenvalue(tn, cb) for tn in hecke])
     return q
 
 
@@ -340,43 +324,40 @@ def psi_pairing_check(basis: ManinBasis, bound: int) -> bool:
     pairing: the bound x bound Gram block [a_i(g_j)] has full rank."""
     if bound <= 0:
         return True
-    qs = m2_basis_qexp(basis.N, basis, bound)
+    qs = m2_basis_qexp(basis, hecke_matrices(basis, bound))
     k = min(len(qs), bound)
     gram = [[qs[j][i] for j in range(k)] for i in range(1, bound + 1)]
     _, piv = rref(gram)
     return len(piv) == k
 
 
-def generating_series_check(u: list[Fraction], N: int, basis: ManinBasis,
-                            nmax: int) -> dict:
+def generating_series_check(u: list[Fraction], basis: ManinBasis, hecke) -> dict:
     """For each coordinate functional, match n -> alpha(T_n u) against the
-    explicit modular-form basis and recover the unique constant term.
+    explicit modular-form basis and recover the unique constant term;
+    hecke[n - 1] is the matrix T_n, and nmax = len(hecke).
 
-    Returns {"constant_term": vector, "coefficients": per-functional data};
-    raises Inconsistent if some functional series is not modular."""
-    qs = m2_basis_qexp(N, basis, nmax)
+    Returns {"constant_term": vector}; raises Inconsistent if some
+    functional series is not modular."""
+    qs = m2_basis_qexp(basis, hecke)
     k = len(qs)
-    tn_u = {n: mat_vec(hecke_matrix(n, basis).matrix, u)
-            for n in range(1, nmax + 1)}
+    tn_u = [mat_vec(tn, u) for tn in hecke]
     # coefficient matrix rows n = 1..nmax over the k basis forms
-    rows = [[qs[j][n] for j in range(k)] for n in range(1, nmax + 1)]
+    rows = [[q[n] for q in qs] for n in range(1, len(hecke) + 1)]
     _, piv = rref(rows)
     if len(piv) != k:
         raise Mismatch("basis q-expansions are not independent at this depth")
     constants = []
-    combos = []
     for i in range(basis.dim):
-        rhs = [tn_u[n][i] for n in range(1, nmax + 1)]
+        rhs = [t[i] for t in tn_u]
         sol = solve(rows, rhs)
         if sol is None:
             raise Inconsistent(f"functional {i}: series is not modular")
         # exact check on every coefficient (solve only guarantees a pivot fit)
-        for n in range(1, nmax + 1):
-            if sum(sol[j] * qs[j][n] for j in range(k)) != rhs[n - 1]:
+        for n, row in enumerate(rows, 1):
+            if sum(s * a for s, a in zip(sol, row)) != rhs[n - 1]:
                 raise Inconsistent(f"functional {i}: residual at n={n}")
         constants.append(sum(sol[j] * qs[j][0] for j in range(k)))
-        combos.append(sol)
-    return {"constant_term": constants, "coefficients": combos}
+    return {"constant_term": constants}
 
 
 # ---------------------------------------------------------------------------

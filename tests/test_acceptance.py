@@ -28,6 +28,7 @@ from rmlab.mat2 import mat, mat_inv
 from rmlab.modsym import (
     build_space,
     generating_series_check,
+    hecke_matrices,
     hecke_matrix,
 )
 from rmlab.quaternion import ProjLine, Quat, quadric_split, quadric_unsplit
@@ -340,12 +341,13 @@ def test_criterion_10_modularity_desk_scale():
     t0 = time.time()
     for n in (11, 14, 15):
         basis = build_space(n)
+        hecke = hecke_matrices(basis, 30)
         for i in range(basis.dim):
             u = [Fraction(int(j == i)) for j in range(basis.dim)]
-            out = generating_series_check(u, n, basis, 30)
+            out = generating_series_check(u, basis, hecke)
             assert len(out["constant_term"]) == basis.dim
     basis11 = build_space(11)
-    eigs = rational_eigenvalues(hecke_matrix(2, basis11).matrix)
+    eigs = rational_eigenvalues(hecke_matrix(2, basis11))
     assert sorted(set(eigs)) == [-2, 3]
     count = sum(1 for x in range(2) for y in range(2)
                 if (y * y + y - (x ** 3 - x * x - 10 * x - 20)) % 2 == 0) + 1

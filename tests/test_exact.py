@@ -110,6 +110,23 @@ def test_quadirr_subtraction_coerces_like_addition():
         1.5 - q
 
 
+def test_quadirr_mixed_labels_meet_over_the_smaller_label():
+    rng = random.Random(20)
+
+    def parts(q):
+        return (q.a, q.b, q.D)
+
+    for small, big in ((2, 8), (5, 20), (8, 18), (3, 12)):
+        for _ in range(25):
+            x, y = (QuadIrr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)),
+                            D) for D in rng.sample([small, big], 2))
+            assert parts(x + y) == parts(y + x)
+            assert parts(x * y) == parts(y * x)
+            assert parts(x - y) == parts(-(y - x))
+            assert (x + y).D == (x * y).D == (x - y).D == small
+
+
 def test_square_core_and_canonical():
     assert square_core(20) == (5, 2)
     assert square_core(8) == (2, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab.cocycles import ChainSquare, RQDivisor, dv_value_on_segment, sigma_swap
+from rmlab.cocycles import ChainSquare, RMDivisor, RQDivisor, dv_value_on_segment, sigma_swap
 from rmlab.hecke import (
     HeckeElt,
     act_on_dv,
@@ -26,6 +26,7 @@ from tests_helpers_brute import (
     km_hecke_route,
     right_coset_key_fraction,
     tree_neighbor_count,
+    upper_triangular_cosets,
 )
 
 GOLDEN = QForm(1, -1, -1)
@@ -106,6 +107,18 @@ def test_coset_counts_sigma1():
                 continue
             assert len(coset_reps_Tn(n, p).reps) == sum(
                 d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_coprime_coset_reps_match_the_upper_triangular_loop():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 36):
+            if math.gcd(n, p) != 1:
+                continue
+            got = coset_reps_Tn(n, p)
+            expect = upper_triangular_cosets(n)
+            assert got.reps == tuple(expect), (n, p)
+            assert got.to_json()["reps"] == [[[str(e) for e in row] for row in g]
+                                             for g in expect]
 
 
 def _labels_reached():
@@ -283,6 +296,10 @@ def test_act_on_dv_term_by_term():
         val = dv_value_on_segment(GOLDEN, moved, p, 1 + 0).act(mat_inv(alpha))
         parts = val if parts is None else parts + val
     assert total == parts.restrict_levels(GOLDEN.disc, p, 1)
+
+
+def test_act_on_dv_of_no_chain_is_zero():
+    assert act_on_dv(HeckeElt.Tn(6, 5), GOLDEN, None, 5, 1) == RMDivisor()
 
 
 def km_chain():

@@ -189,6 +189,19 @@ def coset_closure(label, p: int):
     return [key_to_matrix(k, p) for k in sorted(seen)]
 
 
+def upper_triangular_cosets(n: int) -> list:
+    """The sigma_1(n) upper-triangular matrices (a, b; 0, n/a) with a | n and
+    0 <= b < n/a, by a loop over a and b."""
+    reps = []
+    for a in range(1, n + 1):
+        if n % a:
+            continue
+        d = n // a
+        for b in range(d):
+            reps.append(mat(a, b, 0, d))
+    return reps
+
+
 def brute_force_crossings(segment, base: QForm, p: int, levels: int) -> list:
     """Independent scan: all primitive forms with |A|, |B| <= 10 at each
     admissible discriminant, filtered by orbit membership and crossing;
@@ -503,6 +516,18 @@ def tree_neighbor_count(n: int, p: int) -> int:
     if n == p:
         return p + 1
     return sigma1(n)
+
+
+def p1_reduce_scan(N: int, c: int, d: int):
+    """The least (u c, u d) mod N over the units u of Z/N, by a scan over
+    all units; None when gcd(c, d, N) > 1."""
+    c, d = c % N, d % N
+    if N == 1:
+        return (0, 0)
+    if math.gcd(math.gcd(c, d), N) > 1:
+        return None
+    return min(((u * c) % N, (u * d) % N) for u in range(1, N)
+               if math.gcd(u, N) == 1)
 
 
 def mat_product(a: list[list], b: list[list]) -> list[list]:
