@@ -181,7 +181,7 @@ def cmd_modform(args) -> dict:
     series = []
     for i in range(basis.dim):
         u = [Fraction(int(j == i)) for j in range(basis.dim)]
-        res = generating_series_check(u, basis, hecke)
+        res = generating_series_check(u, basis, hecke, qs)
         series.append([str(x) for x in res["constant_term"]])
     return {
         "level": n,

@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
     SameOrbit,
 )
-from .exact import PTower, QuadIrr, frac_is_square, quad_sign
+from .exact import PTower, QuadIrr, frac_root, quad_sign
 from .hyperbolic import HPoint
 from .mat2 import IDENT, Mat
 from .rmpoints import QForm, automorph, is_rm_for, orbit_equivalent
@@ -46,14 +46,6 @@ class CocycleTable:
     def factors_for(self, g: Mat) -> RMDivisor:
         return self.entries.get(_mat_key(g), RMDivisor())
 
-    def product_with(self, other: "CocycleTable") -> "CocycleTable":
-        out = CocycleTable()
-        keys = set(self.entries) | set(other.entries)
-        for k in keys:
-            out.entries[k] = (self.entries.get(k, RMDivisor())
-                              + other.entries.get(k, RMDivisor()))
-        return out
-
 
 def _forms(div: RMDivisor) -> list[QForm]:
     """The divisor's forms in triple order, the order values multiply in."""
@@ -65,8 +57,9 @@ def _embed(q: QuadIrr, p: int, N: int, D1: int, D2: int) -> PTower:
     for slot, D in ((1, D1), (2, D2)):
         if D == 0:
             continue
-        if frac_is_square(Fraction(q.D, D)):
-            return PTower.from_quadirr(q, p, N, D1, D2, slot=slot)
+        t = frac_root(Fraction(q.D, D))
+        if t is not None:
+            return PTower._from_coords(q.a, q.b * t, p, N, D1, D2, slot)
     if q.b == 0:
         return PTower.from_rational(q.a, p, N, D1, D2)
     raise MixedDiscriminant(f"no tower slot accepts sqrt({q.D})")
@@ -83,7 +76,9 @@ def table_value_fn(table: CocycleTable, at: QuadIrr, p: int, N: int,
         out = PTower.one(p, N, D1, D2)
         for f in _forms(div):
             w = _embed(f.root(), p, N, D1, D2)
-            wc = _embed(f.conj_root(), p, N, D1, D2)
+            # the conjugate root negates w's slot coordinate, and x -> -x,
+            # y -> -y does that whichever slot w sits in
+            wc = w.conj_x().conj_y()
             out = out * ((z - w) / (z - wc)) ** div.entries[f]
         return out
 
@@ -180,19 +175,29 @@ def torsion_exponent(p: int) -> int:
     return int(math.lcm(2, p * p - 1))
 
 
+def _window_powers(eps: PTower, window: int) -> list[PTower]:
+    """eps^-k for |k| <= window, leaving out the powers that raise."""
+    out = []
+    for k in range(-window, window + 1):
+        try:
+            out.append(eps ** (-k))
+        except (NotInvertible, PrecisionExhausted):
+            continue
+    return out
+
+
 def _defect_valuation(u: PTower, eps1: PTower, eps2: PTower, window: int) -> int:
-    """Largest val((u e1^-k1 e2^-k2)^M - 1) over the exponent window."""
+    """Largest val((u e1^-k1 e2^-k2)^M - 1) over the exponent window; a
+    power of e1 or e2 that raises drops its row or column.  Past the
+    powers nothing raises: products of towers over one (p, D1, D2) do
+    not, and congruent_one_valuation reports its own noise."""
     M = torsion_exponent(u.p)
     best = -10 ** 9
-    for k1 in range(-window, window + 1):
-        for k2 in range(-window, window + 1):
-            try:
-                d = u * eps1 ** (-k1) * eps2 ** (-k2)
-                y = d ** M
-                v = y.congruent_one_valuation()
-            except (NotInvertible, PrecisionExhausted):
-                continue
-            best = max(best, v)
+    cols = _window_powers(eps2, window)
+    for e1 in _window_powers(eps1, window):
+        row = u * e1
+        for e2 in cols:
+            best = max(best, ((row * e2) ** M).congruent_one_valuation())
     return best
 
 

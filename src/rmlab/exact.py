@@ -78,19 +78,31 @@ def p_free(n: int, p: int) -> int:
     return n
 
 
+def frac_root(q: Fraction) -> Fraction | None:
+    """The root r >= 0 with r^2 = q if q is a rational square, else None."""
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        return None
+    return Fraction(n, d)
+
+
 def frac_is_square(q: Fraction) -> bool:
-    return q >= 0 and is_square_int(q.numerator) and is_square_int(q.denominator)
+    return frac_root(q) is not None
 
 
 def frac_sqrt(q: Fraction) -> Fraction:
     """Exact square root of a rational square."""
-    if not frac_is_square(q):
+    r = frac_root(q)
+    if r is None:
         raise ValueError(f"{q} is not a rational square")
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return r
 
 
-def val_p(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero int or Fraction."""
+def _p_split(q: Fraction | int, p: int) -> tuple[int, int, int]:
+    """(v, n, d) with q = p^v * n / d and n, d prime to p, for a nonzero
+    int or Fraction q."""
     if q == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -102,7 +114,12 @@ def val_p(q: Fraction | int, p: int) -> int:
     while d % p == 0:
         d //= p
         v -= 1
-    return v
+    return v, n, d
+
+
+def val_p(q: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero int or Fraction."""
+    return _p_split(q, p)[0]
 
 
 def kronecker(d: int, p: int) -> int:
@@ -403,8 +420,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return out
 
 
@@ -423,38 +441,39 @@ class PTower:
 
     __slots__ = ("p", "prec", "D1", "D2", "coeffs", "shift", "zero")
 
-    def __init__(self, p, prec, D1, D2, coeffs, shift=0):
+    def __new__(cls, p, prec, D1, D2, coeffs, shift=0):
         if prec < 1:
             raise PrecisionExhausted("no significant digits left")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "D1", D1)
-        object.__setattr__(self, "D2", D2)
         c = [int(x) for x in coeffs]
         if D1 == 0 and (c[1] or c[3]):
             raise ValueError("x-coordinates present but the x-factor is absent")
         if D2 == 0 and (c[2] or c[3]):
             raise ValueError("y-coordinates present but the y-factor is absent")
         m = p ** prec
-        c = [x % m for x in c]
-        if all(x == 0 for x in c):
-            object.__setattr__(self, "zero", True)
-            object.__setattr__(self, "prec", prec)
-            object.__setattr__(self, "coeffs", (0, 0, 0, 0))
-            object.__setattr__(self, "shift", shift)
-            return
-        v = val_p(math.gcd(*c), p)
-        if v > 0:
-            c = [x // p ** v for x in c]
+        return PTower._make(p, prec, D1, D2, tuple(x % m for x in c), shift)
+
+    @staticmethod
+    def _make(p, prec, D1, D2, c, shift) -> "PTower":
+        """Internal constructor for arithmetic results: prec >= 1, c is a
+        4-tuple of ints already reduced mod p^prec, and absent factors'
+        coordinates vanish, so only the content is normalised."""
+        g = math.gcd(*c)
+        if g and g % p == 0:
+            # a nonzero vector reduced mod p^prec has content < p^prec: v < prec
+            v = val_p(g, p)
+            q = p ** v
+            c = tuple(x // q for x in c)
             prec -= v
             shift += v
-            if prec < 1:
-                raise PrecisionExhausted("normalization ate every digit")
-            m = p ** prec
-            c = [x % m for x in c]
-        object.__setattr__(self, "zero", False)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", tuple(c))
-        object.__setattr__(self, "shift", shift)
+        t = object.__new__(PTower)
+        object.__setattr__(t, "p", p)
+        object.__setattr__(t, "prec", prec)
+        object.__setattr__(t, "D1", D1)
+        object.__setattr__(t, "D2", D2)
+        object.__setattr__(t, "coeffs", c)
+        object.__setattr__(t, "shift", shift)
+        object.__setattr__(t, "zero", not g)
+        return t
 
     def __setattr__(self, *args):
         raise AttributeError("PTower is immutable")
@@ -482,11 +501,9 @@ class PTower:
         q = Fraction(q)
         if q == 0:
             return PTower.zero_at(p, prec, D1, D2)
-        v = val_p(q, p)
-        u = q / Fraction(p) ** v
+        v, n, d = _p_split(q, p)
         m = p ** prec
-        c0 = u.numerator * pow(u.denominator, -1, m) % m
-        return PTower(p, prec, D1, D2, (c0, 0, 0, 0), shift=v)
+        return PTower(p, prec, D1, D2, (n * pow(d, -1, m) % m, 0, 0, 0), shift=v)
 
     @staticmethod
     def from_quadirr(q: QuadIrr, p, prec, D1, D2, slot=1) -> "PTower":
@@ -497,15 +514,36 @@ class PTower:
         target = D1 if slot == 1 else D2
         if target == 0:
             raise MixedDiscriminant("requested slot is absent from the tower")
-        ratio = Fraction(q.D, target)
-        if not frac_is_square(ratio):
+        t = frac_root(Fraction(q.D, target))
+        if t is None:
             raise MixedDiscriminant(
                 f"cannot embed sqrt({q.D}) into the sqrt({target}) slot")
-        t = frac_sqrt(ratio)
-        a_part = PTower.from_rational(q.a, p, prec, D1, D2)
-        b_part = PTower.from_rational(q.b * t, p, prec, D1, D2)
-        gen = PTower.gen_x(p, prec, D1, D2) if slot == 1 else PTower.gen_y(p, prec, D1, D2)
-        return a_part + b_part * gen
+        return PTower._from_coords(q.a, q.b * t, p, prec, D1, D2, slot)
+
+    @staticmethod
+    def _from_coords(a: Fraction, b: Fraction, p, prec, D1, D2, slot) -> "PTower":
+        """a + b*x (slot 1) or a + b*y (slot 2) for rationals a and b, the
+        slot present in the tower.  This is the element, precision and shift
+        of from_rational(a) + from_rational(b) * gen: each part is known
+        modulo p^(prec + its valuation), a zero part modulo p^prec only."""
+        if prec < 1:
+            raise PrecisionExhausted("no significant digits left")
+        if a == 0 and b == 0:
+            return PTower._make(p, 1, D1, D2, (0, 0, 0, 0), prec - 1)
+        pa = _p_split(a, p) if a else None
+        pb = _p_split(b, p) if b else None
+        shift = min(x[0] for x in (pa, pb) if x)
+        known = prec + min(pa[0] if pa else 0, pb[0] if pb else 0)
+        prec = known - shift
+        if prec < 1:
+            raise PrecisionExhausted("sum below noise floor")
+        m = p ** prec
+        c = [0, 0, 0, 0]
+        for i, part in ((0, pa), (1 if slot == 1 else 2, pb)):
+            if part:
+                v, n, d = part
+                c[i] = n * p ** (v - shift) * pow(d, -1, m) % m
+        return PTower._make(p, prec, D1, D2, tuple(c), shift)
 
     # -- bookkeeping
 
@@ -537,34 +575,37 @@ class PTower:
 
     def __add__(self, other):
         other = self._lift(other)
+        p, D1, D2 = self.p, self.D1, self.D2
         if self.zero and other.zero:
             s = min(self.abs_prec, other.abs_prec)
-            return PTower.zero_at(self.p, 1, self.D1, self.D2, shift=s - 1)
+            return PTower._make(p, 1, D1, D2, (0, 0, 0, 0), s - 1)
         if self.zero:
             lim = min(self.abs_prec, other.abs_prec)
             prec = lim - other.shift
             if prec < 1:
                 raise PrecisionExhausted("sum below noise floor")
-            return PTower(self.p, prec, self.D1, self.D2, other.coeffs, other.shift)
+            mod = p ** prec
+            return PTower._make(p, prec, D1, D2, tuple(c % mod for c in other.coeffs),
+                                other.shift)
         if other.zero:
             return other + self
-        p = self.p
         m = min(self.shift, other.shift)
         lim = min(self.abs_prec, other.abs_prec)
         prec = lim - m
         if prec < 1:
             raise PrecisionExhausted("sum below noise floor")
         mod = p ** prec
-        a = [c * p ** (self.shift - m) % mod for c in self.coeffs]
-        b = [c * p ** (other.shift - m) % mod for c in other.coeffs]
-        return PTower(p, prec, self.D1, self.D2,
-                      [(x + y) % mod for x, y in zip(a, b)], shift=m)
+        ka, kb = p ** (self.shift - m), p ** (other.shift - m)
+        return PTower._make(p, prec, D1, D2,
+                            tuple((x * ka + y * kb) % mod
+                                  for x, y in zip(self.coeffs, other.coeffs)), m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PTower(self.p, self.prec, self.D1, self.D2,
-                      [-c for c in self.coeffs], self.shift)
+        mod = self.p ** self.prec
+        return PTower._make(self.p, self.prec, self.D1, self.D2,
+                            tuple(-c % mod for c in self.coeffs), self.shift)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -576,34 +617,35 @@ class PTower:
 
     def __mul__(self, other):
         other = self._lift(other)
+        D1, D2 = self.D1, self.D2
         if self.zero or other.zero:
             s = self.valuation() + other.valuation()
-            return PTower.zero_at(self.p, 1, self.D1, self.D2, shift=s - 1)
+            return PTower._make(self.p, 1, D1, D2, (0, 0, 0, 0), s - 1)
         prec = min(self.prec, other.prec)
         mod = self.p ** prec
         a0, a1, a2, a3 = self.coeffs
         b0, b1, b2, b3 = other.coeffs
-        D1, D2 = self.D1, self.D2
-        E = D1 * D2
-        c0 = a0 * b0 + D1 * a1 * b1 + D2 * a2 * b2 + E * a3 * b3
+        c0 = a0 * b0 + D1 * a1 * b1 + D2 * a2 * b2 + D1 * D2 * a3 * b3
         c1 = a0 * b1 + a1 * b0 + D2 * (a2 * b3 + a3 * b2)
         c2 = a0 * b2 + a2 * b0 + D1 * (a1 * b3 + a3 * b1)
         c3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
-        return PTower(self.p, prec, D1, D2,
-                      [c0 % mod, c1 % mod, c2 % mod, c3 % mod],
-                      shift=self.shift + other.shift)
+        return PTower._make(self.p, prec, D1, D2,
+                            (c0 % mod, c1 % mod, c2 % mod, c3 % mod),
+                            self.shift + other.shift)
 
     __rmul__ = __mul__
 
     def conj_x(self) -> "PTower":
         c0, c1, c2, c3 = self.coeffs
-        return PTower(self.p, self.prec, self.D1, self.D2,
-                      (c0, -c1, c2, -c3), self.shift)
+        mod = self.p ** self.prec
+        return PTower._make(self.p, self.prec, self.D1, self.D2,
+                            (c0, -c1 % mod, c2, -c3 % mod), self.shift)
 
     def conj_y(self) -> "PTower":
         c0, c1, c2, c3 = self.coeffs
-        return PTower(self.p, self.prec, self.D1, self.D2,
-                      (c0, c1, -c2, -c3), self.shift)
+        mod = self.p ** self.prec
+        return PTower._make(self.p, self.prec, self.D1, self.D2,
+                            (c0, c1, -c2 % mod, -c3 % mod), self.shift)
 
     def _cofactor(self) -> "PTower":
         """The product of the three tower conjugates of the element."""
@@ -626,9 +668,9 @@ class PTower:
         prec = min(cof.prec, n.prec)
         mod = self.p ** prec
         ninv = pow(n.coeffs[0], -1, mod)
-        return PTower(self.p, prec, self.D1, self.D2,
-                      [c * ninv % mod for c in cof.coeffs],
-                      shift=cof.shift - n.shift)
+        return PTower._make(self.p, prec, self.D1, self.D2,
+                            tuple(c * ninv % mod for c in cof.coeffs),
+                            cof.shift - n.shift)
 
     def __truediv__(self, other):
         # a divisor from another tower fails in inverse() before the

@@ -331,14 +331,14 @@ def psi_pairing_check(basis: ManinBasis, bound: int) -> bool:
     return len(piv) == k
 
 
-def generating_series_check(u: list[Fraction], basis: ManinBasis, hecke) -> dict:
+def generating_series_check(u: list[Fraction], basis: ManinBasis, hecke, qs) -> dict:
     """For each coordinate functional, match n -> alpha(T_n u) against the
     explicit modular-form basis and recover the unique constant term;
-    hecke[n - 1] is the matrix T_n, and nmax = len(hecke).
+    hecke[n - 1] is the matrix T_n, nmax = len(hecke), and qs is
+    m2_basis_qexp(basis, hecke).
 
     Returns {"constant_term": vector}; raises Inconsistent if some
     functional series is not modular."""
-    qs = m2_basis_qexp(basis, hecke)
     k = len(qs)
     tn_u = [mat_vec(tn, u) for tn in hecke]
     # coefficient matrix rows n = 1..nmax over the k basis forms

@@ -30,6 +30,7 @@ from rmlab.modsym import (
     generating_series_check,
     hecke_matrices,
     hecke_matrix,
+    m2_basis_qexp,
 )
 from rmlab.quaternion import ProjLine, Quat, quadric_split, quadric_unsplit
 from rmlab.rmpoints import (
@@ -342,9 +343,10 @@ def test_criterion_10_modularity_desk_scale():
     for n in (11, 14, 15):
         basis = build_space(n)
         hecke = hecke_matrices(basis, 30)
+        qs = m2_basis_qexp(basis, hecke)
         for i in range(basis.dim):
             u = [Fraction(int(j == i)) for j in range(basis.dim)]
-            out = generating_series_check(u, basis, hecke)
+            out = generating_series_check(u, basis, hecke, qs)
             assert len(out["constant_term"]) == basis.dim
     basis11 = build_space(11)
     eigs = rational_eigenvalues(hecke_matrix(2, basis11))

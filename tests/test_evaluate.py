@@ -22,7 +22,7 @@ from rmlab.exact import PTower
 from rmlab.hyperbolic import HPoint
 from rmlab.mat2 import IDENT, mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm, automorph, rm_discs_up_to, form_of_disc
-from tests_helpers_brute import mat_neg
+from tests_helpers_brute import mat_neg, table_product
 
 GOLDEN = QForm(1, -1, -1)
 SQRT2 = QForm(1, 0, -2)
@@ -92,7 +92,7 @@ def test_value_at_multiplicative():
     key = tuple(e for row in g for e in row)
     t1 = CocycleTable({key: RMDivisor({SQRT2: 1})})
     t2 = CocycleTable({key: RMDivisor({SQRT2: 2, QForm(1, 2, -1): 1})})
-    prod = t1.product_with(t2)
+    prod = table_product(t1, t2)
     v1 = value_at(t1, GOLDEN, 3, 10, D1=5, D2=8)
     v2 = value_at(t2, GOLDEN, 3, 10, D1=5, D2=8)
     v12 = value_at(prod, GOLDEN, 3, 10, D1=5, D2=8)

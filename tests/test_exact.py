@@ -3,20 +3,24 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmlab.errors import MixedDiscriminant, NotInvertible, PrecisionExhausted
+from rmlab.errors import MixedDiscriminant, NotInvertible, PrecisionExhausted, RmlabError
 from rmlab.exact import (
     PTower,
     QuadIrr,
     frac_is_square,
     frac_sqrt,
     kronecker,
+    p_free,
     quad_sign,
     quadirr_sqrt,
     sign_plus_root,
     square_core,
     val_p,
 )
+from tests_helpers_brute import from_quadirr_two_part
 
 getcontext().prec = 220
 
@@ -367,3 +371,83 @@ def test_ptower_and_val_p_identities():
         p = rng.choice((2, 3, 5, 7))
         n = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * p ** rng.randint(0, 4)
         assert val_p(n, p) == val_p(Fraction(n), p)
+
+
+def _fields(t: PTower):
+    return (t.p, t.prec, t.D1, t.D2, t.coeffs, t.shift, t.zero)
+
+
+def _outcome(build):
+    """The built tower's fields, or the type of the error it raised."""
+    try:
+        return _fields(build())
+    except (RmlabError, ValueError) as exc:
+        return type(exc)
+
+
+def test_from_quadirr_matches_the_two_part_sum():
+    rng = random.Random(21)
+
+    def rational(p, prec):
+        if rng.random() < 0.3:
+            return Fraction(0)
+        unit = Fraction(rng.choice((-1, 1)) * p_free(rng.randint(1, 999), p),
+                        p_free(rng.randint(1, 99), p))
+        return unit * Fraction(p) ** rng.randint(-3, prec + 2)
+
+    seen = set()
+    for _ in range(10000):
+        p = rng.choice((2, 3, 5, 7))
+        prec = rng.randint(1, 10)
+        D1 = rng.choice((2, 3, 5, 6, 7, p))
+        D2 = rng.choice((0, 0, 2, 5, 13, p))
+        slot = rng.choice((1, 2))
+        target = D1 if slot == 1 else D2
+        if target and rng.random() < 0.85:
+            Dq = target * rng.choice((1, 1, 2, 3, p)) ** 2
+        else:
+            Dq = rng.choice((2, 3, 5, 6, 7, 10, 11))
+        q = QuadIrr(rational(p, prec), rational(p, prec), Dq)
+        got = _outcome(lambda: PTower.from_quadirr(q, p, prec, D1, D2, slot))
+        expect = _outcome(lambda: from_quadirr_two_part(q, p, prec, D1, D2, slot))
+        assert got == expect, (q, p, prec, D1, D2, slot)
+        seen.add(got if isinstance(got, type) else ("zero", got[-1]))
+    assert seen == {MixedDiscriminant, PrecisionExhausted, ("zero", True), ("zero", False)}
+
+
+_COEFFS = st.one_of(st.just([0, 0, 0, 0]),
+                    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), prec=st.integers(1, 8),
+       D1=st.sampled_from((0, 2, 5, 6)), D2=st.sampled_from((0, 3, 5)),
+       cu=_COEFFS, cv=_COEFFS, su=st.integers(-3, 3), sv=st.integers(-3, 3),
+       scale=st.integers(0, 3), k=st.integers(-3, 3))
+def test_internal_constructor_matches_the_public_one(p, prec, D1, D2, cu, cv, su, sv,
+                                                     scale, k):
+    def vec(c):
+        # content divisible by p^scale, absent factors' coordinates zero
+        c = [x * p ** scale for x in c]
+        if D1 == 0:
+            c[1] = c[3] = 0
+        if D2 == 0:
+            c[2] = c[3] = 0
+        return c
+
+    m = p ** prec
+    u = PTower(p, prec, D1, D2, vec(cu), su)
+    made = PTower._make(p, prec, D1, D2, tuple(x % m for x in vec(cu)), su)
+    assert _fields(made) == _fields(u)
+    v = PTower(p, prec - 1 if prec > 1 else prec, D1, D2, vec(cv), sv)
+    ops = (lambda: u + v, lambda: u - v, lambda: -u, lambda: u * v,
+           lambda: u.conj_x(), lambda: u.conj_y(), lambda: u.inverse(),
+           lambda: u / v, lambda: u ** k)
+    for op in ops:
+        try:
+            r = op()
+        except (NotInvertible, PrecisionExhausted):
+            continue
+        rebuilt = PTower(r.p, r.prec, r.D1, r.D2, r.coeffs, r.shift)
+        assert _fields(r) == _fields(rebuilt)
+        assert all(type(c) is int and 0 <= c < p ** r.prec for c in r.coeffs)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab.cocycles import ChainSquare, RMDivisor, RQDivisor, dv_value_on_segment, sigma_swap
+from rmlab.errors import Mismatch
 from rmlab.hecke import (
+    CosetList,
     HeckeElt,
+    _check_pairwise,
     act_on_dv,
     coset_reps_Tn,
     cosets_of_label,
     double_coset_label,
     hecke_mul,
-    in_gamma,
     key_to_matrix,
     kudla_millson,
     right_coset_key,
@@ -23,8 +26,11 @@ from rmlab.mat2 import mat, mat_inv, mat_mul
 from rmlab.rmpoints import QForm
 from tests_helpers_brute import (
     coset_closure,
+    in_gamma,
     km_hecke_route,
+    pairwise_inequivalent,
     right_coset_key_fraction,
+    sl2zp_generators,
     tree_neighbor_count,
     upper_triangular_cosets,
 )
@@ -119,6 +125,28 @@ def test_coprime_coset_reps_match_the_upper_triangular_loop():
             assert got.reps == tuple(expect), (n, p)
             assert got.to_json()["reps"] == [[[str(e) for e in row] for row in g]
                                              for g in expect]
+
+
+def test_key_check_matches_the_pairwise_product_route():
+    # distinct keys, the library's certificate, against alpha_i alpha_j^-1
+    # in Gamma for every pair, on each coset list and on the list with one
+    # coset repeated under a random word in Gamma
+    rng = random.Random(21)
+    for p in (2, 3, 5, 7):
+        gens = sl2zp_generators(p)
+        for n in range(1, 18):
+            reps = list(coset_reps_Tn(n, p).reps)
+            g = rng.choice(reps)
+            for _ in range(rng.randint(1, 4)):
+                g = mat_mul(rng.choice(gens), g)
+            for cand in (reps, reps + [g]):
+                try:
+                    _check_pairwise(CosetList(tuple(cand), n, p, "zp"))
+                    keys_distinct = True
+                except Mismatch:
+                    keys_distinct = False
+                assert keys_distinct == pairwise_inequivalent(cand, p), (n, p)
+            assert pairwise_inequivalent(reps, p) == (n != p)
 
 
 def _labels_reached():

@@ -130,8 +130,9 @@ def test_psi_pairing():
 
 def test_generating_series_zero_vector():
     basis = build_space(11)
-    out = generating_series_check([Fraction(0)] * basis.dim, basis,
-                                  hecke_matrices(basis, 12))
+    hecke = hecke_matrices(basis, 12)
+    out = generating_series_check([Fraction(0)] * basis.dim, basis, hecke,
+                                  m2_basis_qexp(basis, hecke))
     assert out["constant_term"] == [Fraction(0)] * basis.dim
 
 
@@ -139,16 +140,18 @@ def test_generating_series_basis_vectors():
     for N in (11, 14, 15):
         basis = build_space(N)
         hecke = hecke_matrices(basis, 30)
+        qs = m2_basis_qexp(basis, hecke)
         for i in range(basis.dim):
             u = [Fraction(int(j == i)) for j in range(basis.dim)]
-            out = generating_series_check(u, basis, hecke)
+            out = generating_series_check(u, basis, hecke, qs)
             assert len(out["constant_term"]) == basis.dim
 
 
 def test_generating_series_cuspidal_constant_zero():
     basis = build_space(11)
     cb = cuspidal_subspace(basis)
-    out = generating_series_check(cb[0], basis, hecke_matrices(basis, 30))
+    hecke = hecke_matrices(basis, 30)
+    out = generating_series_check(cb[0], basis, hecke, m2_basis_qexp(basis, hecke))
     assert out["constant_term"] == [Fraction(0)] * basis.dim
 
 
@@ -206,31 +209,42 @@ def test_generating_series_eisenstein_constant():
     eis = nullspace(rows)
     assert len(eis) == 1
     u = eis[0]
-    out = generating_series_check(u, basis, hecke_matrices(basis, 30))
+    hecke = hecke_matrices(basis, 30)
+    out = generating_series_check(u, basis, hecke, m2_basis_qexp(basis, hecke))
     expect = [Fraction(10, 24) * x for x in u]
     assert out["constant_term"] == expect
 
 
 def test_each_hecke_matrix_is_built_once(monkeypatch, capsys):
     calls = []
+    qexp_levels = []
     real = modsym.hecke_matrix
+    real_qexp = modsym.m2_basis_qexp
 
     def counting(n, basis):
         calls.append((basis.N, n))
         return real(n, basis)
 
+    def counting_qexp(basis, hecke):
+        qexp_levels.append(basis.N)
+        return real_qexp(basis, hecke)
+
     for module in (modsym, cli):
         if getattr(module, "hecke_matrix", None) is real:
             monkeypatch.setattr(module, "hecke_matrix", counting)
+        monkeypatch.setattr(module, "m2_basis_qexp", counting_qexp)
     assert cli.run(["modform", "--level", "11", "--nterms", "30"]) == 0
     capsys.readouterr()
     assert sorted(calls) == [(11, n) for n in range(1, 31)]
+    # one q-expansion basis serves the report and every basis vector
+    assert qexp_levels == [11]
     # criterion 10's N = 15 level: its five basis vectors share T_1..T_30
     calls.clear()
     basis = build_space(15)
     hecke = hecke_matrices(basis, 30)
+    qs = m2_basis_qexp(basis, hecke)
     for i in range(basis.dim):
         u = [Fraction(int(j == i)) for j in range(basis.dim)]
-        generating_series_check(u, basis, hecke)
+        generating_series_check(u, basis, hecke, qs)
     assert basis.dim == 5
     assert sorted(calls) == [(15, n) for n in range(1, 31)]

@@ -21,7 +21,9 @@ from rmlab.errors import (
     NonSquareNorm,
     NotIsotropic,
 )
+from rmlab.evaluate import CocycleTable
 from rmlab.exact import (
+    PTower,
     QuadIrr,
     divisors,
     floor_exact,
@@ -593,3 +595,45 @@ def rational_eigenvalues(a: list[list[Fraction]]) -> list[Fraction]:
             raise Mismatch("synthetic division left a remainder")
         poly = out
     return roots
+
+
+def in_gamma(g, p: int) -> bool:
+    """Membership in SL2(Z[1/p]): determinant one, p-power denominators."""
+    if mat_det(g) != 1:
+        return False
+    return all(p_free(e.denominator, p) == 1 for row in g for e in row)
+
+
+def pairwise_inequivalent(reps, p: int) -> bool:
+    """No alpha_i alpha_j^-1 with i < j lies in SL2(Z[1/p]): pairwise
+    inequivalence of right cosets by the O(len(reps)^2) product route."""
+    return not any(in_gamma(mat_mul(a, mat_inv(b)), p)
+                   for i, a in enumerate(reps) for b in reps[i + 1:])
+
+
+def table_product(t1: CocycleTable, t2: CocycleTable) -> CocycleTable:
+    """The product cochain: at each key, the sum of the two divisors."""
+    out = CocycleTable()
+    for k in set(t1.entries) | set(t2.entries):
+        out.entries[k] = (t1.entries.get(k, RMDivisor())
+                          + t2.entries.get(k, RMDivisor()))
+    return out
+
+
+def from_quadirr_two_part(q: QuadIrr, p: int, prec: int, D1: int, D2: int,
+                          slot: int = 1) -> PTower:
+    """Embed a + b*sqrt(Dq) as from_rational(a) + from_rational(b*t) * gen,
+    gen = x (slot 1) or y (slot 2) and t the positive root of Dq / Dslot:
+    four tower constructions, a product and a sum."""
+    target = D1 if slot == 1 else D2
+    if target == 0:
+        raise MixedDiscriminant("requested slot is absent from the tower")
+    ratio = Fraction(q.D, target)
+    if not frac_is_square(ratio):
+        raise MixedDiscriminant(
+            f"cannot embed sqrt({q.D}) into the sqrt({target}) slot")
+    t = frac_sqrt(ratio)
+    a_part = PTower.from_rational(q.a, p, prec, D1, D2)
+    b_part = PTower.from_rational(q.b * t, p, prec, D1, D2)
+    gen = PTower.gen_x(p, prec, D1, D2) if slot == 1 else PTower.gen_y(p, prec, D1, D2)
+    return a_part + b_part * gen
