@@ -79,7 +79,9 @@ class SignedSum:
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like([*self.entries.items(), *((k, -m) for k, m in other.entries.items())])
 
     def scale(self, c: int):
         return self._like((k, c * m) for k, m in self.entries.items())
@@ -136,20 +138,10 @@ def label_inverse(lbl: Label) -> Label:
     return canonical_label(((d, -b), (-c, a)))
 
 
-def label_p_exponent(lbl: Label, p: int) -> int:
-    """k with det = n * p^(2k), gcd(n, p) = 1, for the scaled group element."""
-    a, b, c, d = lbl
-    return val_p(a * d - b * c, p) // 2
-
-
 class RQDivisor(SignedSum):
     """Finite signed sum of twisted-diagonal labels (canonical matrices)."""
 
     __slots__ = ()
-
-    def restrict_p_exponent(self, p: int, radius: int) -> "RQDivisor":
-        return RQDivisor({v: m for v, m in self.entries.items()
-                          if label_p_exponent(v, p) <= radius})
 
     def __repr__(self):
         items = sorted(self.entries.items())

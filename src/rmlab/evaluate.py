@@ -42,6 +42,8 @@ class CocycleTable:
         for g, div in (entries or {}).items():
             key = _mat_key(g) if len(g) == 2 else g
             self.entries[key] = div
+        # (tau, p) -> (gamma_tau, its divisor) once value_at has checked them
+        self._regular: dict = {}
 
     def factors_for(self, g: Mat) -> RMDivisor:
         return self.entries.get(_mat_key(g), RMDivisor())
@@ -89,19 +91,25 @@ def value_at(table: CocycleTable, tau: QForm, p: int, N: int,
              D1: int | None = None, D2: int | None = None) -> PTower:
     """J(gamma_tau)(tau): the table's product at the automorph of tau,
     evaluated at tau.  The tower slots default to (disc tau, disc of the
-    factors); pass both explicitly to keep several values in one tower."""
-    if not is_rm_for(tau, p):
-        raise SameOrbit(f"tau is not an RM point for p={p}")
-    aut = automorph(tau, p)
-    forms = _forms(table.factors_for(aut.gamma))
+    factors); pass both explicitly to keep several values in one tower.
+
+    The automorph and the regularity check do not depend on N: they run
+    once per table, tau and p, the first time the value is asked for."""
+    gamma, div = table._regular.get((tau, p), (None, None))
+    if gamma is None or table.factors_for(gamma) != div:
+        if not is_rm_for(tau, p):
+            raise SameOrbit(f"tau is not an RM point for p={p}")
+        gamma = automorph(tau, p).gamma
+        div = table.factors_for(gamma)
+        for f in _forms(div):
+            if orbit_equivalent(f, tau, p):
+                raise NotRegular("a factor root lies in the orbit of tau")
+        table._regular[(tau, p)] = (gamma, div)
     if D1 is None:
         D1 = tau.disc
     if D2 is None:
-        D2 = forms[0].disc if forms else 0
-    for f in forms:
-        if orbit_equivalent(f, tau, p):
-            raise NotRegular("a factor root lies in the orbit of tau")
-    return table_value_fn(table, tau.root(), p, N, D1, D2)(aut.gamma)
+        D2 = _forms(div)[0].disc if div.entries else 0
+    return table_value_fn(table, tau.root(), p, N, D1, D2)(gamma)
 
 
 def trivial_cocycle_value(tau: QForm, p: int, N: int) -> PTower:

@@ -386,34 +386,6 @@ def sign_plus_root(u, v, e) -> int:
     return su if d > 0 else sv
 
 
-def quadirr_sqrt(x: "QuadIrr") -> "QuadIrr":
-    """Exact square root inside Q(sqrt(D)); raises ValueError if none exists."""
-    D = x.D
-    s = quad_sign(x)
-    if s < 0:
-        raise ValueError("negative element has no real square root in the field")
-    if s == 0:
-        return QuadIrr(0, 0, D)
-    if x.b == 0:
-        if frac_is_square(x.a):
-            return QuadIrr(frac_sqrt(x.a), 0, D)
-        if frac_is_square(x.a / D):
-            return QuadIrr(0, frac_sqrt(x.a / D), D)
-        raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
-    n = x.norm()
-    if not frac_is_square(n):
-        raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
-    rn = frac_sqrt(n)
-    for c2 in ((x.a + rn) / 2, (x.a - rn) / 2):
-        if c2 > 0 and frac_is_square(c2):
-            c = frac_sqrt(c2)
-            e = x.b / (2 * c)
-            cand = QuadIrr(c, e, D)
-            if cand * cand == x:
-                return cand if quad_sign(cand) > 0 else -cand
-    raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
-
-
 def _power(base, n: int, one):
     """base ** n for n >= 0 by square-and-multiply, starting from one."""
     out = one

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .exact import QuadIrr, exact_div, floor_exact, quad_sign, sign_plus_root, square_core
 from .mat2 import Mat, mat_adj, mat_det, pull_back
-from .rmpoints import QForm, in_orbit_component
-from .rmpoints import _orbit_bfs, class_key  # noqa: F401 - perfbench rebinds both here
+from .rmpoints import QForm, _orbit_component, class_key
+from .rmpoints import _orbit_bfs  # noqa: F401 - perfbench rebinds it here
 
 # ---------------------------------------------------------------------------
 # points, segments, geodesics
@@ -500,6 +500,36 @@ def _b_spans(w0, w1) -> list[tuple[int, int]]:
     return spans
 
 
+def _endpoint_sign(z: HPoint):
+    """(A, B, C) -> side of z for an integer triple, before any form
+    exists: the sign of an integer sum of the weights at a rational point,
+    _form_value_sign otherwise."""
+    if z.w is None:
+        return lambda A, B, C: _form_value_sign((A, B, C), None, z)
+    n, x, one = z.w
+
+    def sign(A, B, C):
+        v = A * n + B * x + C * one
+        return (v > 0) - (v < 0)
+    return sign
+
+
+_SQRT_RESIDUES: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _sqrt_residues(d: int, a: int) -> tuple[int, ...]:
+    """The residues 0 <= r < 2a with r^2 = d (mod 4a), increasing, cached
+    per (d, a): B^2 mod 4a depends only on B mod 2a, so these classes hold
+    every B of a form (a, B, C) of discriminant d."""
+    key = (d, a)
+    hit = _SQRT_RESIDUES.get(key)
+    if hit is None:
+        four_a = 4 * a
+        hit = _SQRT_RESIDUES[key] = tuple(
+            r for r in range(d % 2, 2 * a, 2) if (r * r - d) % four_a == 0)
+    return hit
+
+
 def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
                              levels: int) -> list[tuple[QForm, int]]:
     """All forms in the SL2(Z[1/p]) orbit of base, of discriminant
@@ -509,41 +539,51 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
     Completeness: a geodesic of discriminant d that crosses the segment or
     passes through an endpoint has an endpoint z = x + iy inside it or on
     it, so d - 4A^2 y^2 >= 0 there (_b_spans): |A| <= sqrt(d)/(2 y_min).
-    For each such A every B of the endpoints' windows is tested exactly,
-    degenerate endpoints included.
+    For each such A every B of the endpoints' windows with B^2 = d
+    (mod 4|A|) is tested exactly, degenerate endpoints included.  Up to
+    |A| = isqrt(d) + 1 B runs over _sqrt_residues mod 2|A|, whose table
+    costs about one window; above it a window holds fewer than one period
+    and B steps over d's parity.
     """
     floors0, floors1 = _endpoint_floors(seg.z0), _endpoint_floors(seg.z1)
+    sign0, sign1 = _endpoint_sign(seg.z0), _endpoint_sign(seg.z1)
     d0 = base.disc
     top_disc = d0 * p ** (2 * levels)
     out: list[tuple[QForm, int]] = []
+    orbit = None  # base's component, fetched at the first candidate
 
-    def scan_A(d, A) -> bool:
-        """Test every candidate B for this A; False when no endpoint can lie
-        inside or on a geodesic with this |A|, nor with any larger one."""
+    def record(A, B, C, d):
+        """Keep the candidate (A, B, C) of discriminant d if its form is an
+        orbit member whose geodesic crosses the segment."""
+        nonlocal orbit
+        # the windows are a superset: a candidate may still miss
+        s0 = sign0(A, B, C)
+        s1 = sign1(A, B, C)
+        if (s0 != 0 and s0 == s1) or math.gcd(A, B, C) != 1:
+            return
+        # A != 0, primitive, B^2 - 4AC = d a positive non-square
+        f = QForm._make(A, B, C, d)
+        # only orbit members matter, including for degeneracy
+        if orbit is None:
+            orbit = _orbit_component(base, p, top_disc)[0]
+        if (class_key(f), 0) not in orbit:
+            return
+        if s0 == 0 or s1 == 0:
+            raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
+        out.append((f, (s1 - s0) // 2))
+
+    def scan_A(d, A, step, starts) -> bool:
+        """Test every candidate B = r (mod step), r in starts, for this A;
+        False when no endpoint can lie inside or on a geodesic with this
+        |A|, nor with any larger one."""
         spans = _b_spans(floors0(d, A), floors1(d, A))
         four_a = 4 * A
         for b_lo, b_hi in spans:
-            # 4A | B^2 - d forces B = d mod 2
-            for B in range(b_lo + (b_lo - d) % 2, b_hi + 1, 2):
-                num = B * B - d
-                if num % four_a != 0:
-                    continue
-                C = num // four_a
-                if math.gcd(A, B, C) != 1:
-                    continue
-                # A != 0, primitive, B^2 - 4AC = d a positive non-square: a form
-                f = QForm(A, B, C)
-                # the windows are a superset: a candidate may still miss
-                s0 = side(f, seg.z0)
-                s1 = side(f, seg.z1)
-                if s0 != 0 and s0 == s1:
-                    continue
-                # only orbit members matter, including for degeneracy
-                if not in_orbit_component(f, base, p, top_disc):
-                    continue
-                if s0 == 0 or s1 == 0:
-                    raise DegenerateEndpoint("segment endpoint on an orbit geodesic")
-                out.append((f, (s1 - s0) // 2))
+            for r in starts:
+                for B in range(b_lo + (r - b_lo) % step, b_hi + 1, step):
+                    num = B * B - d
+                    if num % four_a == 0:  # always, on a residue class
+                        record(A, B, num // four_a, d)
         return bool(spans)
 
     for m in range(-levels, levels + 1):
@@ -554,9 +594,14 @@ def enumerate_crossing_orbit(seg: GSegment, base: QForm, p: int,
             d = d0 // q
         else:
             d = d0 * p ** (2 * m)
+        cap = math.isqrt(d) + 1
         a = 1
-        while scan_A(d, a):
-            scan_A(d, -a)
+        while True:
+            # 4A | B^2 - d forces B = d mod 2
+            step, starts = (2 * a, _sqrt_residues(d, a)) if a <= cap else (2, (d % 2,))
+            if not scan_A(d, a, step, starts):
+                break
+            scan_A(d, -a, step, starts)
             a += 1
     out.sort(key=lambda fs: fs[0].triple())
     return out

@@ -29,9 +29,12 @@ from .mat2 import (
 
 
 class QForm:
-    """Primitive integral indefinite binary quadratic form A x^2 + B xy + C y^2."""
+    """Primitive integral indefinite binary quadratic form A x^2 + B xy + C y^2.
 
-    __slots__ = ("A", "B", "C", "disc")
+    The hash of the triple is computed once, at construction; it is
+    hash((A, B, C)), so sets and dicts of forms keep the order they had."""
+
+    __slots__ = ("A", "B", "C", "disc", "_hash")
 
     def __init__(self, A: int, B: int, C: int):
         if A == 0:
@@ -41,10 +44,23 @@ class QForm:
         disc = B * B - 4 * A * C
         if disc <= 0 or is_square_int(disc):
             raise ValueError("discriminant must be positive and not a square")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "disc", disc)
+        self._fill(A, B, C, disc)
+
+    @classmethod
+    def _make(cls, A: int, B: int, C: int, disc: int) -> "QForm":
+        """The form of a triple already known to be one: A != 0, primitive,
+        disc = B^2 - 4AC a positive non-square.  Nothing is re-checked."""
+        f = object.__new__(cls)
+        f._fill(A, B, C, disc)
+        return f
+
+    def _fill(self, A: int, B: int, C: int, disc: int) -> None:
+        # through the slots' own descriptors, since __setattr__ refuses
+        _SET_A(self, A)
+        _SET_B(self, B)
+        _SET_C(self, C)
+        _SET_DISC(self, disc)
+        _SET_HASH(self, hash((A, B, C)))
 
     def __setattr__(self, *args):
         raise AttributeError("QForm is immutable")
@@ -59,13 +75,14 @@ class QForm:
         return QuadIrr(Fraction(-self.B, 2 * self.A), Fraction(-1, 2 * self.A), self.disc)
 
     def __neg__(self) -> "QForm":
-        return QForm(-self.A, -self.B, -self.C)
+        return QForm._make(-self.A, -self.B, -self.C, self.disc)
 
     def __eq__(self, other):
-        return isinstance(other, QForm) and self.triple() == other.triple()
+        return (isinstance(other, QForm) and self.A == other.A and self.B == other.B
+                and self.C == other.C)
 
     def __hash__(self):
-        return hash(self.triple())
+        return self._hash
 
     def __repr__(self):
         return f"QForm{self.triple()}"
@@ -80,6 +97,10 @@ class QForm:
         if len(parts) != 3:
             raise ValueError("expected 'A,B,C'")
         return QForm(*parts)
+
+
+_SET_A, _SET_B, _SET_C, _SET_DISC, _SET_HASH = (QForm.__dict__[name].__set__
+                                               for name in QForm.__slots__)
 
 
 @dataclass(frozen=True)
@@ -340,12 +361,6 @@ def _orbit_component(f: QForm, p: int, top_disc: int) -> tuple[set, dict]:
     if hit is None:
         hit = _ORBIT_CACHE[key] = _orbit_bfs(f, p, top_disc)
     return hit
-
-
-def in_orbit_component(f: QForm, base: QForm, p: int, top_disc: int) -> bool:
-    """True iff f's root lies in the SL2(Z[1/p]) orbit of base's root, read
-    off base's cached component; exact when top_disc >= f.disc, base.disc."""
-    return (class_key(f), 0) in _orbit_component(base, p, top_disc)[0]
 
 
 def _orbit_witness(f: QForm, parents: dict, node) -> Mat:

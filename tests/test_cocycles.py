@@ -121,6 +121,23 @@ def test_signed_sum_algebra(kind):
         a.entries = {}
 
 
+def test_signed_sum_difference_is_one_sum():
+    # a - b builds one sum, with the entries of a + (-b) in the same order
+    rng = random.Random(31)
+    forms = [QForm(1, b, c) for b in range(-2, 3) for c in (-11, -7, -5)]
+    labels = [(a, b, 0, 1) for a in (1, 2, 3) for b in range(-2, 3)]
+    for make, keys in ((RMDivisor, forms), (RQDivisor, labels)):
+        for _ in range(200):
+            a, b = ([(rng.choice(keys), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
+                    for _ in range(2))
+            x, y = make(a), make(b)
+            diff = x - y
+            assert type(diff) is make
+            assert list(diff.entries.items()) == list((x + (-y)).entries.items())
+    with pytest.raises(TypeError):
+        RMDivisor() - RQDivisor()
+
+
 def test_lower_pos_below_any_grid():
     # (3 - 2 sqrt 2)^20 = 1 / (3 + 2 sqrt 2)^20 is about 5e-16 < 2^-48;
     # (1 + sqrt 2)/10^8 has its conjugate far from 0, where a bound through

@@ -107,6 +107,25 @@ def test_value_at_not_regular():
         value_at(table, GOLDEN, 2, 8)
 
 
+def test_value_at_checks_each_table_once(monkeypatch):
+    # the automorph and the regularity check run on a table's first value
+    # only; a higher precision, a new table or changed entries check again
+    g = automorph(GOLDEN, 3).gamma
+    key = tuple(e for row in g for e in row)
+    table = CocycleTable({key: RMDivisor({SQRT2: 2, QForm(1, 2, -1): 1})})
+    calls = []
+    monkeypatch.setattr(evaluate, "orbit_equivalent",
+                        lambda f, tau, p: calls.append(f) or False)
+    values = [value_at(table, GOLDEN, 3, n, D1=5, D2=8) for n in (10, 20, 30)]
+    assert len(calls) == 2
+    fresh = value_at(CocycleTable(dict(table.entries)), GOLDEN, 3, 30, D1=5, D2=8)
+    assert fresh.eq_at_precision(values[2]) and len(calls) == 4
+    table.entries[key] = RMDivisor({GOLDEN: 1})
+    monkeypatch.undo()
+    with pytest.raises(NotRegular):
+        value_at(table, GOLDEN, 3, 10)
+
+
 def test_pair_value_constant_cochain():
     one = PTower.one(3, 10, 5, 8)
 

@@ -15,12 +15,11 @@ from rmlab.exact import (
     kronecker,
     p_free,
     quad_sign,
-    quadirr_sqrt,
     sign_plus_root,
     square_core,
     val_p,
 )
-from tests_helpers_brute import from_quadirr_two_part
+from tests_helpers_brute import from_quadirr_two_part, quadirr_sqrt
 
 getcontext().prec = 220
 

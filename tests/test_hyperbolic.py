@@ -15,10 +15,12 @@ from rmlab.cocycles import chain_segment
 from rmlab.errors import DegenerateConfiguration, DegenerateEndpoint, MixedDiscriminant
 from rmlab.exact import QuadIrr, floor_exact, quad_sign
 from rmlab.hyperbolic import (
+    _SQRT_RESIDUES,
     GSegment,
     HPoint,
     _endpoint_floors,
     _form_value_sign,
+    _sqrt_residues,
     cross_segment,
     enumerate_crossing_orbit,
     ez_cross,
@@ -467,6 +469,78 @@ def test_enumerate_crossing_orbit_matches_box_scan(fields, draws):
     assert hits >= 0.6 * draws, hits
 
 
+def test_sqrt_residues_match_brute_set():
+    # the cached residue classes of B mod 2a against a scan of 0 <= r < 2a,
+    # for every discriminant below 400, in a seeded order
+    rng = random.Random(400)
+    pairs = [(d, a) for d in range(5, 400) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+             for a in range(1, math.isqrt(d) + 2)]
+    rng.shuffle(pairs)
+    for d, a in pairs:
+        brute = tuple(r for r in range(2 * a) if (r * r - d) % (4 * a) == 0)
+        assert _sqrt_residues(d, a) == brute, (d, a)
+
+
+def _low_segment(rng, D):
+    """A seeded segment whose first endpoint lies below y = 1/4, at times
+    far below: its A loop runs past isqrt(d) + 1, into B's step of 2."""
+    while True:
+        far = _oracle_segment(rng, D)
+        y = Fraction(rng.randint(1, 24), 100) / rng.choice([1, 1, 2, 5])
+        if D and rng.random() < 0.4:
+            y = QuadIrr(y / 2, Fraction(1, rng.randint(800, 900)), D)
+        try:
+            return GSegment(HPoint(far.z0.x, y), far.z1)
+        except ValueError:
+            continue  # twice the same point
+
+
+def _degenerate_segment(rng, base):
+    """A seeded segment with an endpoint on an orbit geodesic: a point of
+    base's geodesic (the rational i + 1 where it lies on it), moved with
+    the form by a short word in S and T, then joined to a random point."""
+    on = HPoint(1, 1)
+    if side(base, on) != 0:
+        on = point_on_geodesic(base, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    word = mat(1, rng.randint(-3, 3), 0, 1)
+    if rng.random() < 0.5:
+        word = mat(0, -1, 1, rng.randint(-2, 2))
+    end = moebius_point(word, on)
+    other = HPoint(_oracle_coordinate(rng, -2, 2, None),
+                   Fraction(rng.randint(30, 200), 100))
+    return GSegment(end, other) if rng.random() < 0.5 else GSegment(other, end)
+
+
+@pytest.mark.parametrize("fields, draws", [((None,), 40), ((2, 3, 5, 7), 25)])
+def test_enumerate_crossing_orbit_matches_box_scan_low(fields, draws):
+    # segments that dip below y = 1/4 run both the residue classes (|A| up
+    # to isqrt(d) + 1) and the step of 2 above them
+    rng = random.Random(2525 + draws)
+    past_cap = 0
+    for _ in range(draws):
+        segment = _low_segment(rng, rng.choice(fields))
+        base = rng.choice(_ORACLE_BASES)
+        p = rng.choice([q for q in (2, 3, 5) if is_rm_for(base, q)])
+        levels = rng.choice([0, 0, 1] if p == 2 else [0])  # the box grows with 1/y^2
+        got = _outcome(enumerate_crossing_orbit, segment, base, p, levels)
+        assert got == _outcome(box_scan_crossings, segment, base, p, levels), segment
+        a, y = math.isqrt(base.disc) + 2, segment.z0.y
+        past_cap += quad_sign(y * y * (4 * a * a) - base.disc) <= 0
+    assert past_cap >= draws // 2, past_cap
+
+
+def test_enumerate_crossing_orbit_matches_box_scan_degenerate():
+    # an endpoint on an orbit geodesic raises DegenerateEndpoint in both
+    rng = random.Random(1729)
+    for _ in range(40):
+        base = rng.choice(_ORACLE_BASES)
+        p = rng.choice([q for q in (2, 3, 5) if is_rm_for(base, q)])
+        segment = _degenerate_segment(rng, base)
+        got = _outcome(enumerate_crossing_orbit, segment, base, p, 0)
+        assert got is DegenerateEndpoint, segment
+        assert _outcome(box_scan_crossings, segment, base, p, 0) is got, segment
+
+
 def test_disc_17_path_is_enumerated():
     # the path x0 -> gamma.x0 of disc 17's automorph dips to y = 1.0e-4,
     # where the bounding box held about 10^10 (A, B); the antisym pair exits 0
@@ -483,3 +557,6 @@ def test_disc_17_path_is_enumerated():
     assert found
     for f, sgn in found:
         assert side(f, segment.z0) == -sgn and side(f, segment.z1) == sgn
+    # |A| runs to about 6e4 here; residue tables stop at isqrt(d) + 1
+    assert _SQRT_RESIDUES
+    assert all(a <= math.isqrt(d) + 1 for d, a in _SQRT_RESIDUES)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,31 @@ def test_qform_validation():
         QForm(1, 0, 1)  # disc < 0
     assert GOLDEN.disc == 5
     assert GOLDEN.root() == QuadIrr(Fraction(1, 2), Fraction(1, 2), 5)
+
+
+def test_internal_constructor_matches_public_one():
+    # QForm._make skips the checks but gives the same form: equality, the
+    # stored hash (that of the triple), disc, repr, set and dict membership
+    rng = random.Random(5)
+    made, public = [], []
+    while len(made) < 300:
+        A, B, C = (rng.randint(-40, 40) for _ in range(3))
+        try:
+            f = QForm(A, B, C)
+        except ValueError:
+            continue
+        g = QForm._make(A, B, C, B * B - 4 * A * C)
+        assert g == f and f == g and not g != f
+        assert hash(g) == hash(f) == hash((A, B, C))
+        assert g.disc == f.disc and repr(g) == repr(f)
+        assert g in {f} and {f: 1}[g] == 1 and -g == -f
+        made.append(g)
+        public.append(f)
+    # equal hashes keep the iteration order of sets and dicts
+    triples = [f.triple() for f in public]
+    assert [f.triple() for f in set(made)] == [f.triple() for f in set(public)] \
+        == list(set(triples))
+    assert list(dict.fromkeys(made)) == list(dict.fromkeys(public))
 
 
 def test_is_rm_for_examples():

@@ -31,7 +31,6 @@ from rmlab.exact import (
     frac_sqrt,
     p_free,
     quad_sign,
-    quadirr_sqrt,
     sigma1,
     val_p,
     xgcd,
@@ -51,7 +50,8 @@ from rmlab.quaternion import ProjLine, Quat
 from rmlab.rmpoints import (
     Automorph,
     QForm,
-    in_orbit_component,
+    _orbit_component,
+    class_key,
     is_rm_for,
     orbit_equivalent,
 )
@@ -245,6 +245,12 @@ def brute_divisor(base: QForm, gamma, x0, p: int, levels: int) -> RMDivisor:
     return RMDivisor(dict(brute_force_crossings(segment, base, p, levels)))
 
 
+def in_orbit_component(f: QForm, base: QForm, p: int, top_disc: int) -> bool:
+    """True iff f's root lies in the SL2(Z[1/p]) orbit of base's root, read
+    off base's cached component; exact when top_disc >= f.disc, base.disc."""
+    return (class_key(f), 0) in _orbit_component(base, p, top_disc)[0]
+
+
 def box_scan_crossings(seg, base: QForm, p: int, levels: int) -> list:
     """The segment's crossing orbit forms by a scan of its bounding box:
     a geodesic of discriminant d through z = x + iy has
@@ -370,6 +376,18 @@ def witness_search(f1: QForm, f2: QForm, p: int, kmax: int, bound: int):
     return None
 
 
+def label_p_exponent(lbl, p: int) -> int:
+    """k with det = n * p^(2k), gcd(n, p) = 1, for the scaled group element."""
+    a, b, c, d = lbl
+    return val_p(a * d - b * c, p) // 2
+
+
+def restrict_p_exponent(div: RQDivisor, p: int, radius: int) -> RQDivisor:
+    """The labels of div whose p-exponent is at most radius."""
+    return RQDivisor({v: m for v, m in div.entries.items()
+                      if label_p_exponent(v, p) <= radius})
+
+
 def km_hecke_route(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor:
     """(T_n x 1)(D_1): the basic two-variable value on each Hecke-translated
     chain alpha . seg1, relabelled back by alpha^-1 on the left and
@@ -381,7 +399,7 @@ def km_hecke_route(n: int, chain: ChainSquare, p: int, radius: int) -> RQDivisor
         for v, m in d1_value(moved, p, radius).entries.items():
             w = canonical_label(mat_mul(ainv, from_ints(v)))
             out[w] = out.get(w, 0) + m
-    return RQDivisor(out).restrict_p_exponent(p, radius)
+    return restrict_p_exponent(RQDivisor(out), p, radius)
 
 
 def mult_matrix(u: Quat, side: str):
@@ -412,6 +430,34 @@ def kernel_lines_nullspace(u: Quat):
         assert len(basis) == 1, f"kernel in B0 has dimension {len(basis)}"
         out.append(ProjLine(basis[0], "B0", u.alg))
     return out[0], out[1]
+
+
+def quadirr_sqrt(x: QuadIrr) -> QuadIrr:
+    """Exact square root inside Q(sqrt(D)); raises ValueError if none exists."""
+    D = x.D
+    s = quad_sign(x)
+    if s < 0:
+        raise ValueError("negative element has no real square root in the field")
+    if s == 0:
+        return QuadIrr(0, 0, D)
+    if x.b == 0:
+        if frac_is_square(x.a):
+            return QuadIrr(frac_sqrt(x.a), 0, D)
+        if frac_is_square(x.a / D):
+            return QuadIrr(0, frac_sqrt(x.a / D), D)
+        raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
+    n = x.norm()
+    if not frac_is_square(n):
+        raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
+    rn = frac_sqrt(n)
+    for c2 in ((x.a + rn) / 2, (x.a - rn) / 2):
+        if c2 > 0 and frac_is_square(c2):
+            c = frac_sqrt(c2)
+            e = x.b / (2 * c)
+            cand = QuadIrr(c, e, D)
+            if cand * cand == x:
+                return cand if quad_sign(cand) > 0 else -cand
+    raise ValueError(f"{x} is not a square in Q(sqrt({D}))")
 
 
 def quadric_unsplit_commutator(u1: ProjLine, u2: ProjLine) -> ProjLine:
